@@ -21,6 +21,7 @@ from .counting import CountBreakdown, brute_force_count, fast_count
 from .errors import (
     EstermannError,
     ExponentTooSmall,
+    FloorInversionFailed,
     IntegerExponent,
     MemoryBudgetExceeded,
     MuSumNotOne,
@@ -56,6 +57,7 @@ __all__ = [
     "DerivedParams",
     "EstermannError",
     "ExponentTooSmall",
+    "FloorInversionFailed",
     "HypothesisReport",
     "IntegerExponent",
     "MemoryBudgetExceeded",

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ExponentTooSmall, IntegerExponent
+from .errors import ExponentTooSmall, FloorInversionFailed, IntegerExponent
 
 
 @dataclass(frozen=True)
@@ -142,8 +142,13 @@ def invert_floor_range(L: int, R: int, c: RationalExponent):
     n_hi = bisect_first(R + 1) - 1
 
     # Endpoint verification by direct evaluation.
-    assert L <= floor_pow(n_lo, c) <= R
-    assert L <= floor_pow(n_hi, c) <= R
-    assert n_lo == 1 or floor_pow(n_lo - 1, c) < L
-    assert floor_pow(n_hi + 1, c) > R
+    if not (
+        L <= floor_pow(n_lo, c) <= R
+        and L <= floor_pow(n_hi, c) <= R
+        and (n_lo == 1 or floor_pow(n_lo - 1, c) < L)
+        and floor_pow(n_hi + 1, c) > R
+    ):
+        raise FloorInversionFailed(
+            f"endpoints ({n_lo}, {n_hi}) of [{L}, {R}] under c = {c} failed verification"
+        )
     return (n_lo, n_hi)

@@ -37,15 +37,18 @@ _PANEL_ORDER = 32
 class ExactIntegrand:
     """F(alpha) * e(-alpha*N) with F the product of the three window sums.
 
-    Window data is sieved once; each alpha then costs three vectorized
-    phase sums.  Every float node is the dyadic rational given by its bit
-    pattern; when alpha*v_max is too large for a plain double product to
-    keep 1e-10 mod-1 accuracy, phases reduce exactly for that rational via
-    64-bit modular arithmetic (the PhaseReducer contract, inlined here for
-    the quadrature hot path).
+    Window data is sieved once.  A batch of alphas is evaluated in row chunks
+    of at most _CHUNK_ELEMENTS phases (one row per alpha, one column per
+    window element), so memory stays flat however many nodes arrive.  Rows
+    whose products alpha*v stay below 2^20 keep 1e-10 mod-1 accuracy in a
+    plain double product and are reduced mod 1 in place; the rest go through
+    PhaseReducer, which reduces exactly for the dyadic rational each float
+    node is.
     """
 
     _DIRECT_LIMIT = float(1 << 20)
+    # 128 KiB per temporary: a chunk's arrays stay in L2 and peak RSS stays flat
+    _CHUNK_ELEMENTS = 1 << 14
 
     def __init__(self, inst: ProblemInstance):
         self.inst = inst
@@ -53,8 +56,8 @@ class ExactIntegrand:
         self.p2 = window_primes(inst, 2)
         self.n_range, self.values = admissible_floor_values(inst)
         self._arrays = [np.asarray(a, dtype=np.int64) for a in (self.p1, self.p2, self.values)]
-        self._f64 = [a.astype(np.float64) for a in self._arrays]
-        self._u64 = [a.astype(np.uint64) for a in self._arrays]
+        self._support = np.concatenate(self._arrays).astype(np.float64)
+        self._bounds = np.cumsum([0] + [a.size for a in self._arrays])
         self._vmax = max((int(a.max()) for a in self._arrays if a.size), default=0)
 
     def is_empty(self) -> bool:
@@ -69,15 +72,7 @@ class ExactIntegrand:
         return float(max(abs(smin - self.inst.N), abs(smax - self.inst.N), 1))
 
     def _sums(self, a: float) -> tuple[complex, complex, complex, complex]:
-        """The three window sums at alpha = a, and e(-a*N)."""
-        if abs(a) * max(self._vmax, self.inst.N) <= self._DIRECT_LIMIT:
-            w = _TWO_PI * a
-            sums = []
-            for arr in self._f64:
-                theta = w * arr
-                sums.append(complex(np.cos(theta).sum(), np.sin(theta).sum()))
-            eN = cis((a * self.inst.N) % 1.0).conjugate()
-            return sums[0], sums[1], sums[2], eN
+        """The three window sums at alpha = a, and e(-a*N), via PhaseReducer."""
         r = PhaseReducer(a)
         sums = []
         for arr in self._arrays:
@@ -85,13 +80,38 @@ class ExactIntegrand:
             sums.append(complex(np.cos(theta).sum(), np.sin(theta).sum()))
         return sums[0], sums[1], sums[2], cis(r.frac_int(self.inst.N)).conjugate()
 
+    def _direct(self, a: np.ndarray) -> np.ndarray:
+        """F(alpha)e(-alpha*N) for rows with |alpha|*max(v, N) <= 2^20."""
+        x = a[:, None] * self._support
+        x -= np.rint(x)
+        # e(x) = (1 - t^2 + 2it) / (1 + t^2) with t = tan(pi*x), |x| <= 1/2:
+        # one tangent per phase instead of a cosine and a sine.  Computed in
+        # place, so a chunk never holds more than three arrays.
+        t = np.tan(np.multiply(x, np.pi, out=x), out=x)
+        t2 = t * t
+        w = np.reciprocal(t2 + 1.0)
+        cos = np.multiply(np.subtract(1.0, t2, out=t2), w, out=t2)
+        sin = np.multiply(np.multiply(t, 2.0, out=t), w, out=t)
+        out = np.ones(a.size, dtype=complex)
+        for lo, hi in zip(self._bounds[:-1], self._bounds[1:]):
+            out *= cos[:, lo:hi].sum(axis=1) + 1j * sin[:, lo:hi].sum(axis=1)
+        phase_N = a * float(self.inst.N)
+        phase_N -= np.rint(phase_N)
+        return out * np.exp(-2j * np.pi * phase_N)
+
     def __call__(self, alphas: np.ndarray) -> np.ndarray:
-        out = np.empty(len(alphas), dtype=complex)
+        a = np.asarray(alphas, dtype=np.float64)
+        out = np.zeros(a.shape, dtype=complex)
         if self.is_empty():
-            out[:] = 0
             return out
-        for i, a in enumerate(alphas):
-            s1, s2, s3, eN = self._sums(float(a))
+        direct = np.abs(a) * max(self._vmax, self.inst.N) <= self._DIRECT_LIMIT
+        rows = np.flatnonzero(direct)
+        step = max(1, self._CHUNK_ELEMENTS // self._support.size)
+        for start in range(0, rows.size, step):
+            chunk = rows[start : start + step]
+            out[chunk] = self._direct(a[chunk])
+        for i in np.flatnonzero(~direct):
+            s1, s2, s3, eN = self._sums(float(a[i]))
             out[i] = s1 * s2 * s3 * eN
         return out
 

@@ -21,6 +21,10 @@ class WindowTooWide(EstermannError):
     """H >= min_k mu_k * N, so some window would reach 0 or below."""
 
 
+class FloorInversionFailed(EstermannError):
+    """A floor-power range inversion failed its endpoint verification."""
+
+
 class OracleLimitExceeded(EstermannError):
     """Brute-force oracle invoked above its configured size limit."""
 

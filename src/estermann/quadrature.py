@@ -1,19 +1,29 @@
 """Adaptive Gauss-Legendre panel integration for complex-valued integrands.
 
 Panels refine by bisection; a panel is accepted when its whole-vs-halves
-discrepancy fits its proportional share of the absolute error budget.  The
-accepted contributions are summed in interval order, so the result does not
-depend on how many worker threads evaluated the panels.
+discrepancy fits its proportional share of the absolute error budget.  All
+pending panels of one refinement level are assessed together: their whole,
+left-half and right-half Gauss nodes form one flat 1-D array, the integrand
+is called once on it (on consecutive slices of it past _LEVEL_NODES nodes),
+and the panel sums, error estimates and accept/split decisions are array
+operations.  With threads > 1 that node array is cut into contiguous chunks
+evaluated by a thread pool and joined in order, so every node value, and
+hence the result, is the same as with one thread.  The accepted
+contributions are summed in interval order.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import ToleranceNotMet
+
+# Larger levels are evaluated in consecutive slices of whole panels, so the
+# node and value arrays stay bounded whatever the panel count.
+_LEVEL_NODES = 1 << 17
 
 _leggauss_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -24,15 +34,16 @@ def leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _leggauss_cache[n]
 
 
-def panel_nodes(a: float, b: float, order: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = leggauss(order)
-    half = 0.5 * (b - a)
-    return a + half * (x + 1.0), half * w
-
-
-def gl_panel(f_batch: Callable[[np.ndarray], np.ndarray], a: float, b: float, order: int) -> complex:
-    nodes, weights = panel_nodes(a, b, order)
-    return complex(np.sum(weights * f_batch(nodes)))
+def _evaluate(
+    f_batch: Callable[[np.ndarray], np.ndarray],
+    nodes: np.ndarray,
+    pool: Optional[ThreadPoolExecutor],
+    threads: int,
+) -> np.ndarray:
+    if pool is None:
+        return np.asarray(f_batch(nodes), dtype=complex)
+    chunks = np.array_split(nodes, min(threads, nodes.size))
+    return np.concatenate([np.asarray(v, dtype=complex) for v in pool.map(f_batch, chunks)])
 
 
 def adaptive_complex(
@@ -47,48 +58,57 @@ def adaptive_complex(
 ) -> tuple[complex, float, int]:
     """Integrate f over the partition given by edges.
 
-    Returns (value, error_estimate, evaluation_count).  Raises
-    ToleranceNotMet when the budget runs out before the estimate fits.
+    Returns (value, error_estimate, evaluation_count); each refinement level
+    costs 3 * order evaluations per pending panel.  Raises ToleranceNotMet
+    when the budget runs out before the estimate fits.
     """
-    edges = list(edges)
+    edges = np.asarray(edges, dtype=np.float64)
     total_width = edges[-1] - edges[0]
     if total_width <= 0:
         return 0.0 + 0.0j, 0.0, 0
-    panels = [(edges[i], edges[i + 1], 0) for i in range(len(edges) - 1) if edges[i + 1] > edges[i]]
-    accepted: list[tuple[float, complex]] = []
+    x, w = leggauss(order)
+    keep = edges[1:] > edges[:-1]
+    a, b = edges[:-1][keep], edges[1:][keep]
+    accepted_at: list[np.ndarray] = []
+    accepted_val: list[np.ndarray] = []
     achieved = 0.0
     n_evals = 0
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
 
-    def assess(panel):
-        a, b, depth = panel
-        mid = 0.5 * (a + b)
-        whole = gl_panel(f_batch, a, b, order)
-        halves = gl_panel(f_batch, a, mid, order) + gl_panel(f_batch, mid, b, order)
-        return a, b, depth, whole, halves
-
     try:
-        while panels:
-            if pool is not None and len(panels) > 1:
-                results = list(pool.map(assess, panels))
-            else:
-                results = [assess(p) for p in panels]
-            n_evals += 3 * order * len(panels)
-            if n_evals > eval_budget:
+        depth = 0
+        while a.size:
+            level_evals = 3 * order * a.size
+            if n_evals + level_evals > eval_budget:
                 raise ToleranceNotMet(
                     f"evaluation budget {eval_budget} exhausted", achieved=float("inf")
                 )
-            panels = []
-            for a, b, depth, whole, halves in results:
-                err = abs(whole - halves)
-                share = abs_tol * (b - a) / total_width
-                if err <= share or depth >= max_depth:
-                    accepted.append((a, halves))
-                    achieved += err
-                else:
-                    mid = 0.5 * (a + b)
-                    panels.append((a, mid, depth + 1))
-                    panels.append((mid, b, depth + 1))
+            n_evals += level_evals
+            mid = 0.5 * (a + b)
+            lo = np.stack([a, a, mid], axis=1)[:, :, None]
+            half = 0.5 * (np.stack([b, mid, b], axis=1)[:, :, None] - lo)
+            sums = np.empty((a.size, 3), dtype=complex)
+            step = max(1, _LEVEL_NODES // (3 * order))
+            for s in range(0, a.size, step):
+                nodes = lo[s : s + step] + half[s : s + step] * (x + 1.0)
+                values = _evaluate(f_batch, nodes.ravel(), pool, threads).reshape(nodes.shape)
+                values *= half[s : s + step] * w
+                sums[s : s + step] = values.sum(axis=-1)
+            whole, halves = sums[:, 0], sums[:, 1] + sums[:, 2]
+            err = np.abs(whole - halves)
+            if depth >= max_depth:
+                ok = np.ones(a.size, dtype=bool)
+            else:
+                ok = err <= abs_tol * (b - a) / total_width
+            accepted_at.append(a[ok])
+            accepted_val.append(halves[ok])
+            for e in err[ok].tolist():
+                achieved += e
+            split = ~ok
+            a_s, mid_s, b_s = a[split], mid[split], b[split]
+            a = np.stack([a_s, mid_s], axis=1).ravel()
+            b = np.stack([mid_s, b_s], axis=1).ravel()
+            depth += 1
     finally:
         if pool is not None:
             pool.shutdown()
@@ -98,8 +118,9 @@ def adaptive_complex(
             f"achieved error estimate {achieved:.3g} exceeds tolerance {abs_tol:.3g}",
             achieved=achieved,
         )
-    accepted.sort(key=lambda item: item[0])
-    value = complex(sum(v for _, v in accepted))
+    starts = np.concatenate(accepted_at)
+    contributions = np.concatenate(accepted_val)[np.argsort(starts, kind="stable")]
+    value = complex(sum(contributions.tolist()))
     return value, achieved, n_evals
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+import tempfile
 import threading
 from dataclasses import dataclass
 from typing import Optional
@@ -23,6 +24,8 @@ DEFAULT_SEGMENT_ENTRIES = 1 << 22
 MIN_SEGMENT_ENTRIES = 1 << 10
 
 _CACHE_MAGIC = b"ESPR1"
+# cached primes up to this bound are compared against a fresh sieve on load
+_CACHE_CHECK_LIMIT = 1 << 16
 
 _base_lock = threading.Lock()
 _base_primes: np.ndarray = np.array([2, 3, 5, 7, 11, 13], dtype=np.int64)
@@ -53,17 +56,33 @@ def base_primes(limit: int) -> np.ndarray:
 
 
 def write_base_prime_cache(path: str, limit: int) -> None:
-    """Persist base primes <= limit as magic + count + 64-bit LE deltas."""
+    """Persist base primes <= limit as magic + count + 64-bit LE deltas.
+
+    The file is written under a temporary name in the same directory and
+    renamed over path, so a concurrent reader sees the old file or the new
+    one, never a partial one.
+    """
     primes = base_primes(limit)
     deltas = np.diff(primes, prepend=0).astype("<u8")
-    with open(path, "wb") as fh:
-        fh.write(_CACHE_MAGIC)
-        fh.write(struct.pack("<Q", len(primes)))
-        fh.write(deltas.tobytes())
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(_CACHE_MAGIC)
+            fh.write(struct.pack("<Q", len(primes)))
+            fh.write(deltas.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def read_base_prime_cache(path: str) -> Optional[np.ndarray]:
-    """Load a base-prime cache; None when absent or malformed (recompute)."""
+    """Load a base-prime cache; None when absent, malformed or wrong (recompute).
+
+    A well-formed file is trusted only if it starts at 2, strictly increases,
+    and its primes up to _CACHE_CHECK_LIMIT match a fresh sieve.
+    """
     if not os.path.exists(path):
         return None
     with open(path, "rb") as fh:
@@ -73,10 +92,19 @@ def read_base_prime_cache(path: str) -> Optional[np.ndarray]:
         if len(raw) != 8:
             return None
         (count,) = struct.unpack("<Q", raw)
+        if count == 0 or os.fstat(fh.fileno()).st_size != len(_CACHE_MAGIC) + 8 + 8 * count:
+            return None
         deltas = np.frombuffer(fh.read(8 * count), dtype="<u8")
         if len(deltas) != count:
             return None
-    return np.cumsum(deltas.astype(np.int64))
+    # gaps below 2^32 keep the running sum exact in int64
+    if deltas[0] != 2 or np.any(deltas[1:] == 0) or deltas.max() >= 1 << 32:
+        return None
+    primes = np.cumsum(deltas.astype(np.int64))
+    check = min(int(primes[-1]), _CACHE_CHECK_LIMIT)
+    if not np.array_equal(primes[: np.searchsorted(primes, check, side="right")], _simple_sieve(check)):
+        return None
+    return primes
 
 
 def load_base_prime_cache(path: str) -> bool:

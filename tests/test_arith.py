@@ -1,8 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import estermann
 from estermann.arith import (
     RationalExponent,
     floor_pow,
@@ -100,3 +104,38 @@ def test_invert_floor_range_roundtrip_random():
         assert L <= floor_pow(n_hi, c) <= R
         assert n_lo == 1 or floor_pow(n_lo - 1, c) < L
         assert floor_pow(n_hi + 1, c) > R
+
+
+# A floor_pow that answers honestly except on the last call invert_floor_range
+# makes, which checks floor(n_hi + 1) > R: there it reports R, as a floor_pow
+# that is not monotone would.  Run as a script so it can also run under -O.
+_LYING_FLOOR_POW = """
+from estermann import arith
+from estermann.errors import FloorInversionFailed
+
+c, L, R = arith.RationalExponent(3, 2), 1000, 1100
+honest = arith.floor_pow
+calls = []
+arith.floor_pow = lambda n, c: calls.append(n) or honest(n, c)
+n_lo, n_hi = arith.invert_floor_range(L, R, c)
+assert calls[-1] == n_hi + 1
+seen = []
+arith.floor_pow = lambda n, c: R if len(seen) == len(calls) - 1 else seen.append(n) or honest(n, c)
+try:
+    arith.invert_floor_range(L, R, c)
+except FloorInversionFailed:
+    print("raised")
+"""
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)])
+def test_invert_floor_range_rejects_bad_endpoint(flags):
+    src = os.path.dirname(os.path.dirname(estermann.__file__))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _LYING_FLOOR_POW],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "raised"

@@ -1,0 +1,156 @@
+"""Oracles for the level-batched quadrature and the batched exact integrand."""
+
+import cmath
+import math
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from estermann.circle import ExactIntegrand
+from estermann.errors import ToleranceNotMet
+from estermann import quadrature
+from estermann.instance import build_instance
+from estermann.quadrature import adaptive_complex, leggauss, uniform_edges
+
+THIRD = ("1/3", "1/3", "1/3")
+
+
+def e(x: float) -> complex:
+    return cmath.exp(2j * math.pi * x)
+
+
+def arc_closed_forms(k: int, kappa: float) -> tuple[complex, complex, complex]:
+    """The integrals of e(k alpha) over [-kappa, kappa], [kappa, 1/2], [-1/2, -kappa]."""
+    if k == 0:
+        return complex(2 * kappa), complex(0.5 - kappa), complex(0.5 - kappa)
+    major = math.sin(2 * math.pi * kappa * k) / (math.pi * k)
+    plus = (e(k / 2) - e(k * kappa)) / (2j * math.pi * k)
+    minus = (e(-k * kappa) - e(-k / 2)) / (2j * math.pi * k)
+    return complex(major), plus, minus
+
+
+def per_panel_reference(f, edges, abs_tol, order, max_depth=16):
+    """The panel-at-a-time algorithm: one integrand call per Gauss rule."""
+    x, w = leggauss(order)
+
+    def rule(a, b):
+        half = 0.5 * (b - a)
+        return complex(np.sum(half * w * f(a + half * (x + 1.0))))
+
+    total_width = edges[-1] - edges[0]
+    panels = [(edges[i], edges[i + 1], 0) for i in range(len(edges) - 1)]
+    accepted, achieved, n_evals = [], 0.0, 0
+    while panels:
+        n_evals += 3 * order * len(panels)
+        pending = []
+        for a, b, depth in panels:
+            mid = 0.5 * (a + b)
+            whole, halves = rule(a, b), rule(a, mid) + rule(mid, b)
+            err = abs(whole - halves)
+            if err <= abs_tol * (b - a) / total_width or depth >= max_depth:
+                accepted.append((a, halves))
+                achieved += err
+            else:
+                pending += [(a, mid, depth + 1), (mid, b, depth + 1)]
+        panels = pending
+    accepted.sort(key=lambda item: item[0])
+    return complex(sum(v for _, v in accepted)), achieved, n_evals
+
+
+@pytest.mark.parametrize("k", [0, 1, 7, -40, 333])
+@pytest.mark.parametrize("kappa", [0.013, 0.21])
+def test_adaptive_complex_arc_closed_forms(k, kappa):
+    f = lambda alpha: np.exp(2j * np.pi * k * alpha)
+    arcs = ((-kappa, kappa), (kappa, 0.5), (-0.5, -kappa))
+    got = []
+    for (a, b), exact in zip(arcs, arc_closed_forms(k, kappa)):
+        # one starting panel, so high frequencies need several levels
+        value, err, n_evals = adaptive_complex(f, [a, b], 1e-12 * (b - a), order=16)
+        assert abs(value - exact) <= 1e-11
+        assert err <= 1e-12 * (b - a)
+        assert n_evals % (3 * 16) == 0
+        got.append(value)
+    # the three arcs tile a full period: the integral of e(k alpha) is [k == 0]
+    assert abs(sum(got) - (1.0 if k == 0 else 0.0)) <= 1e-11
+
+
+def test_adaptive_complex_matches_per_panel_algorithm():
+    rng = random.Random(5)
+    ks = [rng.randint(-300, 300) for _ in range(12)]
+    f = lambda alpha: sum(np.exp(2j * np.pi * k * alpha) for k in ks) / (1.0 + alpha * alpha)
+    edges = list(uniform_edges(-0.5, 0.5, 3))
+    batched = adaptive_complex(f, edges, 1e-9, order=12)
+    reference = per_panel_reference(f, edges, 1e-9, order=12)
+    assert batched[2] == reference[2]
+    assert abs(batched[0] - reference[0]) <= 1e-13
+    assert batched[1] == pytest.approx(reference[1], rel=1e-9)
+
+
+def test_adaptive_complex_threads_and_slices_bit_identical(monkeypatch):
+    f = lambda alpha: np.exp(2j * np.pi * 91 * alpha) * np.cos(7 * alpha)
+    edges = uniform_edges(-0.5, 0.5, 5)
+    one = adaptive_complex(f, edges, 1e-10, order=16)
+    for threads in (2, 3, 8):
+        assert adaptive_complex(f, edges, 1e-10, order=16, threads=threads) == one
+    # levels cut into slices of 2 and 1 panels
+    for nodes in (100, 1):
+        monkeypatch.setattr(quadrature, "_LEVEL_NODES", nodes)
+        assert adaptive_complex(f, edges, 1e-10, order=16, threads=2) == one
+
+
+def test_adaptive_complex_budget_checked_before_evaluating():
+    calls = []
+
+    def f(alpha):
+        calls.append(len(alpha))
+        return np.exp(2j * np.pi * 500 * alpha)
+
+    with pytest.raises(ToleranceNotMet):
+        adaptive_complex(f, [0.0, 1.0], 1e-12, order=8, eval_budget=3 * 8 * 7)
+    # levels of 1, 2 and 4 panels fit the budget of 7 panels; the fourth never runs
+    assert calls == [24, 48, 96]
+
+
+# A small window and one at N = 4e6, where |alpha| > 0.26 takes the exact
+# PhaseReducer reduction and smaller |alpha| the in-place one.
+INTEGRAND_CASES = [(5000, 400), (4_000_000, 1500)]
+
+
+def _alphas(n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return np.concatenate([rng.uniform(-0.5, 0.5, n), [0.0, 0.5, -0.5, 1e-9]])
+
+
+@pytest.mark.parametrize("N, H", INTEGRAND_CASES)
+def test_batched_integrand_matches_per_node_sums(N, H):
+    f = ExactIntegrand(build_instance(N, "3/2", THIRD, H))
+    alphas = _alphas(700, N)  # several row chunks
+    direct = np.abs(alphas) * max(f._vmax, N) <= f._DIRECT_LIMIT
+    assert direct.any() and (N < 4_000_000 or not direct.all())
+    batched = f(alphas)
+    ref = np.array([s1 * s2 * s3 * eN for s1, s2, s3, eN in map(f._sums, alphas.tolist())])
+    assert np.all(np.abs(batched - ref) <= 1e-10 * np.abs(ref))
+    # a node's value does not depend on the batch it arrives in
+    pieces = np.concatenate([f(part) for part in np.array_split(alphas, 7)])
+    assert np.array_equal(pieces, batched)
+
+
+@pytest.mark.parametrize("N, H", INTEGRAND_CASES)
+def test_batched_integrand_matches_exact_phases(N, H):
+    inst = build_instance(N, "3/2", THIRD, H)
+    f = ExactIntegrand(inst)
+    alphas = _alphas(16, N + 1)
+    got = f(alphas)
+    sizes = [len(f.p1), len(f.p2), len(f.values)]
+    for alpha, value in zip(alphas.tolist(), got):
+        # every phase reduced mod 1 in exact rationals, then rounded once
+        a = Fraction(alpha)
+        oracle = e(float(-a * inst.N % 1))
+        for arr in (f.p1, f.p2, f.values):
+            oracle *= sum(e(float(a * int(v) % 1)) for v in arr)
+        # a phase alpha*v <= 2^20 rounded in a double is off by at most
+        # 2^-33 turns, so each unit term by at most 2*pi*2^-33 < 7.4e-10, and
+        # F by at most 3 * 7.4e-10 * |P1||P2||V| (+ the same for e(-alpha N)).
+        assert abs(value - oracle) <= 3e-9 * math.prod(sizes), alpha

@@ -1,10 +1,20 @@
+import json
 import math
+import os
 import random
+import struct
+import subprocess
+import sys
+import types
 
 import numpy as np
 import pytest
 
+import estermann
+from estermann import sieve
+from estermann.counting import brute_force_count
 from estermann.errors import MemoryBudgetExceeded
+from estermann.instance import build_instance
 from estermann.sieve import (
     lambda_segment,
     pi_interval,
@@ -120,6 +130,76 @@ def test_base_prime_cache_roundtrip(tmp_path):
     with open(path, "rb") as fh:
         assert fh.read(5) == b"ESPR1"
     assert read_base_prime_cache(str(tmp_path / "missing.espr")) is None
+
+
+def test_base_prime_cache_write_is_atomic(tmp_path, monkeypatch):
+    path = tmp_path / "base.espr"
+    write_base_prime_cache(str(path), 10 ** 4)
+    write_base_prime_cache(str(path), 10 ** 4)
+    assert os.listdir(tmp_path) == ["base.espr"]
+    before = read_base_prime_cache(str(path))
+    assert np.array_equal(before, primes_in(1, 10 ** 4))
+
+    # A writer that dies after the magic is out must leave the old file whole
+    # and no temporary file behind.
+    def die(*args):
+        raise RuntimeError("writer killed")
+
+    monkeypatch.setattr(sieve, "struct", types.SimpleNamespace(pack=die, unpack=struct.unpack))
+    with pytest.raises(RuntimeError):
+        write_base_prime_cache(str(path), 2 * 10 ** 4)
+    assert os.listdir(tmp_path) == ["base.espr"]
+    assert np.array_equal(read_base_prime_cache(str(path)), before)
+
+
+def _cache_bytes(primes) -> bytes:
+    deltas = np.diff(np.asarray(primes, dtype=np.int64), prepend=0).astype("<u8")
+    return b"ESPR1" + struct.pack("<Q", len(deltas)) + deltas.tobytes()
+
+
+def test_base_prime_cache_rejects_wrong_content(tmp_path):
+    good = primes_in(1, 10 ** 4)
+    wrong = {
+        # swapping the gaps after 5 drops 7 and lists 9: the length is right
+        "swapped": np.concatenate([good[:3], [9], good[4:]]),
+        "no_two": good[1:],
+        "repeat": np.concatenate([good[:10], good[9:-1]]),
+        "composite_tail": np.concatenate([good[:-1], [good[-1] + 1]]),
+    }
+    for name, primes in wrong.items():
+        path = tmp_path / f"{name}.espr"
+        path.write_bytes(_cache_bytes(primes))
+        assert read_base_prime_cache(str(path)) is None, name
+    malformed = {
+        "huge_count": b"ESPR1" + struct.pack("<Q", 1 << 62) + _cache_bytes(good)[13:],
+        "trailing": _cache_bytes(good) + b"\0" * 8,
+        "empty": _cache_bytes([]),
+    }
+    for name, data in malformed.items():
+        path = tmp_path / f"{name}.espr"
+        path.write_bytes(data)
+        assert read_base_prime_cache(str(path)) is None, name
+    path = tmp_path / "ok.espr"
+    path.write_bytes(_cache_bytes(good))
+    assert np.array_equal(read_base_prime_cache(str(path)), good)
+
+
+def test_wrong_cache_does_not_change_count(tmp_path):
+    good = primes_in(1, 10 ** 4)
+    path = tmp_path / "primes.bin"
+    path.write_bytes(_cache_bytes(np.concatenate([good[:3], [9], good[4:]])))
+    inst = build_instance(10 ** 4, "3/2", ("1/3", "1/3", "1/3"), 600)
+    expected = brute_force_count(inst).total
+    src = os.path.dirname(os.path.dirname(estermann.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "estermann", "count", "--N", "10000", "--c", "3/2",
+         "--mu", "1/3,1/3,1/3", "--H", "600"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, ESTERMANN_CACHE=str(path), PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["total"] == expected
 
 
 def test_interval_density_band_small():
