@@ -10,7 +10,6 @@ from .arith import RationalExponent, floor_pow, integer_root, invert_floor_range
 from .circle import (
     ArcReport,
     exact_convolution_count,
-    integrand_F,
     integrate_arcs,
     main_term_value,
     model_major_value,
@@ -83,7 +82,6 @@ __all__ = [
     "floor_pow",
     "hypothesis_report",
     "integer_root",
-    "integrand_F",
     "integrate_arcs",
     "invert_floor_range",
     "lambda_segment",

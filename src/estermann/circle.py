@@ -3,10 +3,13 @@
 The count J_c(N, H) equals the integral over [-1/2, 1/2] of
 F(alpha) * e(-alpha*N), where F is the product of the two prime-window sums
 and the floor-power window sum.  The interval splits at kappa = (ln N)^2/(2cH)
-into a major arc [-kappa, kappa] and two minor arcs.  In exact mode F is the
-product of the boundary-inclusive window sums, so the three arc integrals
-must add up to the integer count; exact_convolution_count provides that
-integer without any quadrature as the cross-check.
+into a major arc [-kappa, kappa] and two minor arcs.  F has non-negative
+integer coefficients (and the model integrand is real and even), so the
+integrand at -alpha is the complex conjugate of the integrand at alpha: only
+[0, 1/2] is integrated, and the negative half is its mirror image.  In exact
+mode F is the product of the boundary-inclusive window sums, so the three arc
+integrals must add up to the integer count; exact_convolution_count provides
+that integer without any quadrature as the cross-check.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .counting import (
     window_primes,
 )
 from .errors import MemoryBudgetExceeded
-from .expsums import PhaseReducer, approx_prime_sum, approx_S_c, cis
+from .expsums import _DIRECT_PRODUCT_LIMIT, PhaseReducer, cis
 from .instance import DerivedParams, ProblemInstance, derive_params
 from .quadrature import adaptive_complex, uniform_edges
 
@@ -46,7 +49,6 @@ class ExactIntegrand:
     node is.
     """
 
-    _DIRECT_LIMIT = float(1 << 20)
     # 128 KiB per temporary: a chunk's arrays stay in L2 and peak RSS stays flat
     _CHUNK_ELEMENTS = 1 << 14
 
@@ -104,7 +106,7 @@ class ExactIntegrand:
         out = np.zeros(a.shape, dtype=complex)
         if self.is_empty():
             return out
-        direct = np.abs(a) * max(self._vmax, self.inst.N) <= self._DIRECT_LIMIT
+        direct = np.abs(a) * max(self._vmax, self.inst.N) <= _DIRECT_PRODUCT_LIMIT
         rows = np.flatnonzero(direct)
         step = max(1, self._CHUNK_ELEMENTS // self._support.size)
         for start in range(0, rows.size, step):
@@ -117,42 +119,25 @@ class ExactIntegrand:
 
 
 class ModelIntegrand:
-    """Product of the three closed-form approximants, times e(-alpha*N)."""
+    """Product of the three closed-form approximants, times e(-alpha*N).
+
+    The approximants are centred at mu_k*N and the centres sum to N, so their
+    phases cancel e(-alpha*N) exactly: what is left is the real, even envelope
+    (2H)^2 * H3 * sinc(2 pi alpha H)^3 / (ln(mu1 N) ln(mu2 N)).
+    """
 
     def __init__(self, inst: ProblemInstance, dp: DerivedParams):
-        self.inst = inst
-        self.h3 = float(dp.h3)
-        self.centers = [float(inst.mu_N(k)) for k in (1, 2, 3)]
-        self.log_mu = [math.log(c) for c in self.centers[:2]]
+        self.H = inst.H
+        self.amp = (2.0 * inst.H) ** 2 * float(dp.h3) / (
+            math.log(inst.mu_N(1)) * math.log(inst.mu_N(2))
+        )
 
     def __call__(self, alphas: np.ndarray) -> np.ndarray:
-        a = np.asarray(alphas, dtype=np.float64)
-        H = self.inst.H
-        z = 2.0 * np.pi * a * H
+        z = 2.0 * np.pi * np.asarray(alphas, dtype=np.float64) * self.H
         small = np.abs(z) < 1e-4
         zsafe = np.where(small, 1.0, z)
         s = np.where(small, 1.0 - z * z / 6.0, np.sin(zsafe) / zsafe)
-        amp = (2.0 * H) ** 2 * self.h3 * s ** 3 / (self.log_mu[0] * self.log_mu[1])
-        phase = np.mod(a * self.centers[0], 1.0)
-        phase += np.mod(a * self.centers[1], 1.0)
-        phase += np.mod(a * self.centers[2], 1.0)
-        phase -= np.mod(a * self.inst.N, 1.0)
-        return amp * np.exp(2j * np.pi * phase)
-
-
-def integrand_F(alpha: float, inst: ProblemInstance, mode: str = "exact") -> complex:
-    """Single-point evaluation of the arc integrand F(alpha)*e(-alpha*N)."""
-    if mode == "exact":
-        return complex(ExactIntegrand(inst)(np.array([alpha]))[0])
-    if mode == "model":
-        dp = derive_params(inst)
-        a = float(alpha)
-        s1 = approx_prime_sum(a, float(dp.n1), inst.H, inst.mu[0], inst.N)
-        s2 = approx_prime_sum(a, float(dp.n2), inst.H, inst.mu[1], inst.N)
-        s3 = approx_S_c(a, dp, inst.c, form="sinc")
-        r = PhaseReducer(a)
-        return s1 * s2 * s3 * cis(r.frac_int(inst.N)).conjugate()
-    raise ValueError(f"unknown mode {mode!r}")
+        return self.amp * s ** 3
 
 
 def exact_convolution_count(
@@ -260,30 +245,20 @@ def main_term_value(inst: ProblemInstance) -> float:
     return 3.0 * inst.H ** 2 / (cf * mu3N ** (1.0 - 1.0 / cf) * L * L)
 
 
-def _graded_edges(
-    a: float, b: float, origin: str, base: float, H: int, cap: float = 32.0
-) -> list[float]:
-    """Edges on [a, b] with width growing like 1 + 2H*dist from one endpoint.
+def _graded_edges(a: float, b: float, base: float, H: int, cap: float = 32.0) -> list[float]:
+    """Edges on [a, b] with width growing like 1 + 2H*(x - a) away from a.
 
     Matches the sinc oscillation scale 1/(2H) near the arc boundary and
     coarsens (capped) where the envelope has decayed; the adaptive pass
     re-splits any panel the grading left too wide.
     """
-    if origin == "left":
-        edges = [a]
-        x = a
-        while x < b:
-            w = base * min(1.0 + 2.0 * H * (x - a), cap)
-            x = min(b, x + w)
-            edges.append(x)
-        return edges
-    rev = [b]
-    x = b
-    while x > a:
-        w = base * min(1.0 + 2.0 * H * (b - x), cap)
-        x = max(a, x - w)
-        rev.append(x)
-    return rev[::-1]
+    edges = [a]
+    x = a
+    while x < b:
+        w = base * min(1.0 + 2.0 * H * (x - a), cap)
+        x = min(b, x + w)
+        edges.append(x)
+    return edges
 
 
 def integrate_arcs(
@@ -296,10 +271,15 @@ def integrate_arcs(
 ) -> ArcReport:
     """Quadrature of F(alpha)e(-alpha N) over the major and two minor arcs.
 
-    Exact mode also computes the convolution count, whose agreement with
-    Re(sum of the three integrals) is the additivity cross-check.  When
-    kappa >= 1/2 there is no arc separation: the full interval is reported
-    as I_major and the minor integrals are zero.
+    With k = min(kappa, 1/2), only [0, k] and [k, 1/2] are integrated; the
+    integrand's conjugate symmetry gives I_major = 2 Re of the first and
+    I_minor_minus = conj(I_minor_plus).  When kappa >= 1/2 the second
+    interval is empty: I_major is the full integral and both minor integrals
+    are zero.  achieved_error counts each half's error estimate twice, for
+    the half it stands for; n_evals counts the quadrature's integrand
+    evaluations, which are made once each.  Exact mode also computes the
+    convolution count, whose agreement with Re(sum of the three integrals) is
+    the additivity cross-check.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -319,37 +299,27 @@ def integrate_arcs(
 
     peak = abs(complex(integrand(np.array([0.0]))[0]))
     scale = max(peak, 1.0)
-    split = kappa < 0.5
+    k = min(kappa, 0.5)
+    width = _PERIODS_PER_PANEL / fmax
 
-    def run(a: float, b: float, edges) -> tuple[complex, float, int]:
-        if b <= a:
-            return 0j, 0.0, 0
+    def run(edges) -> tuple[complex, float, int]:
         return adaptive_complex(
             integrand,
             edges,
-            abs_tol=tol * scale * (b - a),
+            abs_tol=tol * scale * (edges[-1] - edges[0]),
             order=_PANEL_ORDER,
             threads=threads,
         )
 
-    width = _PERIODS_PER_PANEL / fmax
-    if split:
-        major_edges = uniform_edges(-kappa, kappa, int(math.ceil(2 * kappa / width)))
-        if mode == "model":
-            plus_edges = _graded_edges(kappa, 0.5, "left", width, inst.H)
-            minus_edges = _graded_edges(-0.5, -kappa, "right", width, inst.H)
-        else:
-            # the exact integrand keeps full bandwidth on the minor arcs
-            plus_edges = uniform_edges(kappa, 0.5, int(math.ceil((0.5 - kappa) / width)))
-            minus_edges = uniform_edges(-0.5, -kappa, int(math.ceil((0.5 - kappa) / width)))
-        I_major, e1, n1 = run(-kappa, kappa, major_edges)
-        I_plus, e2, n2 = run(kappa, 0.5, plus_edges)
-        I_minus, e3, n3 = run(-0.5, -kappa, minus_edges)
+    if mode == "model":
+        minor_edges = _graded_edges(k, 0.5, width, inst.H)
     else:
-        I_major, e1, n1 = run(-0.5, 0.5, uniform_edges(-0.5, 0.5, int(math.ceil(1.0 / width))))
-        I_plus = I_minus = 0j
-        e2 = e3 = 0.0
-        n2 = n3 = 0
+        # the exact integrand keeps full bandwidth on the minor arcs
+        minor_edges = uniform_edges(k, 0.5, int(math.ceil((0.5 - k) / width)))
+    I_half, e_major, n_major = run(uniform_edges(0.0, k, int(math.ceil(k / width))))
+    I_plus, e_plus, n_plus = run(minor_edges)
+    I_major = complex(2.0 * I_half.real, 0.0)
+    I_minus = I_plus.conjugate()
 
     arc_sum = I_major + I_plus + I_minus
     main_term = main_term_value(inst)
@@ -358,7 +328,7 @@ def integrate_arcs(
         mode=mode,
         tol=tol,
         kappa=kappa,
-        arc_split=split,
+        arc_split=kappa < 0.5,
         I_major=I_major,
         I_minor_plus=I_plus,
         I_minor_minus=I_minus,
@@ -368,8 +338,8 @@ def integrate_arcs(
         additivity_error=abs(arc_sum.real - exact_total),
         ratio_exact_to_main=(exact_total / main_term) if main_term > 0 else None,
         ratio_major_to_model=(I_major.real / model_major) if model_major > 0 else None,
-        achieved_error=e1 + e2 + e3,
-        n_evals=n1 + n2 + n3,
+        achieved_error=2.0 * (e_major + e_plus),
+        n_evals=n_major + n_plus,
     )
 
 

@@ -21,7 +21,7 @@ from . import sieve
 from .arith import parse_rational
 from .circle import integrate_arcs
 from .counting import brute_force_count, fast_count
-from .errors import EstermannError
+from .errors import EstermannError, MemoryBudgetExceeded
 from .expsums import (
     approx_prime_sum,
     approx_S1,
@@ -76,7 +76,8 @@ class RunConfig:
 
     @property
     def mem_entries(self) -> int:
-        return max(self.mem_mb, 1) * (1 << 20)
+        """--mem-mb in 8-byte entries, the widest the budgeted arrays hold."""
+        return max(self.mem_mb, 1) * (1 << 20) // 8
 
 
 def _instance_from(cfg: RunConfig):
@@ -243,7 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--H", type=int, help="window half-width")
         p.add_argument("--tol", type=float, default=1e-6)
         p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--mem-mb", dest="mem_mb", type=int, default=2048)
+        p.add_argument("--mem-mb", dest="mem_mb", type=int, default=2048,
+                       help="memory budget for window arrays, in MB")
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -288,7 +290,8 @@ def main(argv=None) -> int:
         status = _COMMANDS[cfg.command](cfg)
     except (EstermannError, ValueError) as exc:
         # covers non-rational flag syntax ("--c 1.41") and bad instances
-        print(f"error: {exc}", file=sys.stderr)
+        hint = "; raise --mem-mb" if isinstance(exc, MemoryBudgetExceeded) else ""
+        print(f"error: {exc}{hint}", file=sys.stderr)
         return 2
     if cache_path:
         try:

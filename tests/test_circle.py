@@ -1,12 +1,17 @@
 import math
 import random
+from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from estermann.circle import (
+    ExactIntegrand,
+    ModelIntegrand,
     exact_convolution_count,
-    integrand_F,
     integrate_arcs,
     main_term_value,
     model_major_value,
@@ -17,6 +22,7 @@ from estermann.circle import (
 from estermann.counting import brute_force_count, fast_count
 from estermann.errors import MemoryBudgetExceeded
 from estermann.instance import build_instance, derive_params
+from estermann.quadrature import adaptive_complex, uniform_edges
 from estermann.verify import random_instances
 
 THIRD = ("1/3", "1/3", "1/3")
@@ -55,11 +61,11 @@ def test_integrand_F_alpha0():
     c1 = len(window_primes(inst, 1))
     c2 = len(window_primes(inst, 2))
     _, values = admissible_floor_values(inst)
-    z = integrand_F(0.0, inst, mode="exact")
+    z = ExactIntegrand(inst)(np.array([0.0]))[0]
     assert z == pytest.approx(complex(c1 * c2 * len(values)), rel=1e-12)
 
     dp = derive_params(inst)
-    zm = integrand_F(0.0, inst, mode="model")
+    zm = ModelIntegrand(inst, dp)(np.array([0.0]))[0]
     want = (
         (2 * inst.H) ** 2
         / (math.log(inst.mu_N(1)) * math.log(inst.mu_N(2)))
@@ -70,11 +76,12 @@ def test_integrand_F_alpha0():
 
 
 def test_integrand_F_conjugate_symmetry():
+    # the property integrate_arcs relies on to integrate [0, 1/2] only
     inst = build_instance(2000, "3/2", THIRD, 300)
-    for mode in ("exact", "model"):
+    for f in (ExactIntegrand(inst), ModelIntegrand(inst, derive_params(inst))):
         for alpha in (0.0123, 0.2, 0.45):
-            plus = integrand_F(alpha, inst, mode=mode)
-            minus = integrand_F(-alpha, inst, mode=mode)
+            plus = f(np.array([alpha]))[0]
+            minus = f(np.array([-alpha]))[0]
             assert abs(minus - plus.conjugate()) <= 1e-10 * max(abs(plus), 1.0)
 
 
@@ -113,6 +120,47 @@ def test_arcs_degenerate_kappa():
     assert not rep.arc_split
     assert rep.I_minor_plus == 0 and rep.I_minor_minus == 0
     assert round(rep.I_major.real) == rep.exact_total
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    N=st.integers(300, 3000),
+    c=st.sampled_from(["3/2", "5/3", "7/4"]),
+    mu=st.sampled_from([THIRD, ("1/4", "1/4", "1/2"), ("2/5", "1/5", "2/5")]),
+    h_frac=st.floats(0.0, 1.0),
+    mode=st.sampled_from(["exact", "model"]),
+)
+@example(N=2000, c="3/2", mu=THIRD, h_frac=0.0, mode="exact")  # kappa >= 1/2
+@example(N=2000, c="3/2", mu=THIRD, h_frac=1.0, mode="model")
+def test_arcs_mirror_vs_negative_half_quadrature(N, c, mu, h_frac, mode):
+    # The report integrates [0, 1/2] only.  Integrate the negative minor arc
+    # and the whole major arc directly, on panels of a different layout and
+    # order, and compare.
+    h_max = min(300, math.floor(min(map(Fraction, mu)) * N))
+    H = 30 + round(h_frac * (h_max - 30))  # H = 30 puts kappa >= 1/2 for N >= 2000
+    inst = build_instance(N, c, mu, H)
+    dp = derive_params(inst)
+    tol = 1e-6
+    rep = integrate_arcs(inst, mode=mode, tol=tol)
+    if mode == "exact":
+        f = ExactIntegrand(inst)
+        fmax = f.max_frequency()
+    else:
+        f = ModelIntegrand(inst, dp)
+        fmax = 3.0 * H
+    scale = max(abs(f(np.array([0.0]))[0]), 1.0)
+    k = min(float(dp.kappa), 0.5)
+    assert rep.arc_split == (k < 0.5)
+
+    def direct(a, b):
+        edges = uniform_edges(a, b, math.ceil((b - a) * fmax / 2.0))
+        return adaptive_complex(f, edges, tol * scale * (b - a))[0]
+
+    assert abs(rep.I_major - direct(-k, k)) <= tol * scale * 2 * k
+    if rep.arc_split:
+        assert abs(rep.I_minor_minus - direct(-0.5, -k)) <= tol * scale * (0.5 - k)
+    else:
+        assert rep.I_minor_minus == rep.I_minor_plus == 0
 
 
 def test_arcs_model_mode_real_even():

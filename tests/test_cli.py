@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 from estermann.cli import RunConfig, main
+from estermann.counting import DEFAULT_MEM_ENTRIES
 
 
 def run_cli(args, capsys):
@@ -116,6 +117,17 @@ def test_invalid_instance_exit_2(capsys):
         ["count", "--N", "100", "--c", "3/2", "--mu", "1/2,1/3,1/4", "--H", "5"], capsys
     )
     assert status == 2
+
+
+def test_mem_mb_counts_megabytes(capsys):
+    # window 2 spans 200000 entries: more than 1 MB of 8-byte entries (2^17)
+    # and fewer than 2^20, so 1 MB must not admit it and 2 MB must
+    args = ["count", "--N", "1000000", "--c", "3/2", "--mu", "1/3,1/3,1/3", "--H", "100000"]
+    assert main([*args, "--mem-mb", "1"]) == 2
+    assert "--mem-mb" in capsys.readouterr().err
+    status, out = run_cli([*args, "--mem-mb", "2"], capsys)
+    assert status == 0 and json.loads(out)["total"] > 0
+    assert RunConfig(command="count").mem_entries == DEFAULT_MEM_ENTRIES
 
 
 def test_non_rational_exponent_rejected(capsys):

@@ -10,6 +10,7 @@ import pytest
 
 from estermann.circle import ExactIntegrand
 from estermann.errors import ToleranceNotMet
+from estermann.expsums import _DIRECT_PRODUCT_LIMIT
 from estermann import quadrature
 from estermann.instance import build_instance
 from estermann.quadrature import adaptive_complex, leggauss, uniform_edges
@@ -127,7 +128,7 @@ def _alphas(n: int, seed: int) -> np.ndarray:
 def test_batched_integrand_matches_per_node_sums(N, H):
     f = ExactIntegrand(build_instance(N, "3/2", THIRD, H))
     alphas = _alphas(700, N)  # several row chunks
-    direct = np.abs(alphas) * max(f._vmax, N) <= f._DIRECT_LIMIT
+    direct = np.abs(alphas) * max(f._vmax, N) <= _DIRECT_PRODUCT_LIMIT
     assert direct.any() and (N < 4_000_000 or not direct.all())
     batched = f(alphas)
     ref = np.array([s1 * s2 * s3 * eN for s1, s2, s3, eN in map(f._sums, alphas.tolist())])
