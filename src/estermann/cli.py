@@ -8,6 +8,7 @@ the resolved run configuration under "config".
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -118,15 +119,17 @@ def _cmd_count(cfg: RunConfig) -> int:
 
 def _cmd_arcs(cfg: RunConfig) -> int:
     inst = _instance_from(cfg)
+    dp = derive_params(inst)
     report = integrate_arcs(
         inst,
         mode=cfg.mode,
         tol=cfg.tol,
         threads=cfg.threads,
         mem_entries=cfg.mem_entries,
+        dp=dp,
     )
     doc = json.loads(report.to_json())
-    doc["hypotheses"] = json.loads(hypothesis_report(inst).to_json())
+    doc["hypotheses"] = json.loads(hypothesis_report(inst, dp).to_json())
     _emit(cfg, _with_config(cfg, doc))
     return 0
 
@@ -228,7 +231,9 @@ _COMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="estermann",
         description="Count representations N = p1 + p2 + floor(n^c) in "

@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 import mpmath as mp
 
@@ -215,14 +215,17 @@ _C_LOWER_NOTE = (
 )
 
 
-def hypothesis_report(inst: ProblemInstance) -> HypothesisReport:
+def hypothesis_report(
+    inst: ProblemInstance, dp: Optional[DerivedParams] = None
+) -> HypothesisReport:
     """Evaluate every named regime condition with both sides reported."""
     N, H, c = inst.N, inst.H, inst.c
     L = math.log(N)
     lnL = math.log(L)
     cf = float(c)
 
-    dp = derive_params(inst)
+    if dp is None:
+        dp = derive_params(inst)
     n3 = float(dp.n3)
     h3 = float(dp.h3)
     n_k_max = float(max(dp.n1, dp.n2))

@@ -19,7 +19,7 @@ from estermann.circle import (
     sine_power_integral,
     singular_integral_J,
 )
-from estermann.counting import brute_force_count, fast_count
+from estermann.counting import brute_force_count, fast_count, window_primes
 from estermann.errors import MemoryBudgetExceeded
 from estermann.instance import build_instance, derive_params
 from estermann.quadrature import adaptive_complex, uniform_edges
@@ -52,6 +52,13 @@ def test_convolution_budget():
     inst = build_instance(10 ** 4, "3/2", THIRD, 2000)
     with pytest.raises(MemoryBudgetExceeded):
         exact_convolution_count(inst, mem_entries=64)
+    # two indicators of span1 + span2 entries plus their convolution of
+    # span1 + span2 - 1: a budget that covers only the indicators must fail
+    spans = sum(int(p[-1] - p[0] + 1) for p in (window_primes(inst, 1), window_primes(inst, 2)))
+    for budget in (spans, 2 * spans - 2):
+        with pytest.raises(MemoryBudgetExceeded, match=str(2 * spans - 1)):
+            exact_convolution_count(inst, mem_entries=budget)
+    assert exact_convolution_count(inst, mem_entries=2 * spans - 1) == fast_count(inst).total
 
 
 def test_integrand_F_alpha0():

@@ -3,8 +3,10 @@ import os
 import subprocess
 import sys
 
+from estermann import circle, cli, instance
 from estermann.cli import RunConfig, main
 from estermann.counting import DEFAULT_MEM_ENTRIES
+from estermann.instance import build_instance, hypothesis_report
 
 
 def run_cli(args, capsys):
@@ -84,6 +86,43 @@ def test_arcs_command(capsys):
     doc = json.loads(out)
     assert round(doc["I_major"][0] + 2 * doc["I_minor_plus"][0]) == doc["exact_total"]
     assert "hypotheses" in doc and "cond_H" in doc["hypotheses"]
+
+
+def test_arcs_derives_params_once(capsys, monkeypatch):
+    calls = []
+    original = instance.derive_params
+
+    def counting(inst):
+        calls.append(inst)
+        return original(inst)
+
+    for module in (instance, circle, cli):
+        monkeypatch.setattr(module, "derive_params", counting)
+    status, out = run_cli(
+        ["arcs", "--N", "500", "--c", "3/2", "--mu", "1/3,1/3,1/3", "--H", "100"], capsys
+    )
+    assert status == 0 and len(calls) == 1
+    inst = build_instance(500, "3/2", ("1/3", "1/3", "1/3"), 100)
+    assert json.loads(out)["hypotheses"] == json.loads(hypothesis_report(inst).to_json())
+
+
+def test_consecutive_calls_match_fresh_processes(capsys):
+    # non-default flags first, then defaults: a flag value kept by the shared
+    # parser would change a later call's output
+    calls = [
+        ["count", "--N", "1000", "--c", "5/3", "--mu", "1/3,1/3,1/3", "--H", "100",
+         "--method", "brute", "--format", "csv", "--tol", "1e-7"],
+        ["arcs", "--N", "500", "--c", "3/2", "--mu", "1/3,1/3,1/3", "--H", "100",
+         "--mode", "model"],
+        ["count", "--N", "12", "--c", "3/2", "--mu", "1/4,1/4,1/2", "--H", "3"],
+    ]
+    for args in calls:
+        status, out = run_cli(args, capsys)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "estermann", *args], capture_output=True, text=True
+        )
+        assert status == fresh.returncode == 0
+        assert out == fresh.stdout
 
 
 def test_verify_quick_exit_zero(capsys):

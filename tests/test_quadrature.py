@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from estermann.circle import ExactIntegrand
+from estermann.circle import _PANEL_ORDER, _PERIODS_PER_PANEL, ExactIntegrand
 from estermann.errors import ToleranceNotMet
 from estermann.expsums import _DIRECT_PRODUCT_LIMIT
 from estermann import quadrature
@@ -75,6 +75,14 @@ def test_adaptive_complex_arc_closed_forms(k, kappa):
         got.append(value)
     # the three arcs tile a full period: the integral of e(k alpha) is [k == 0]
     assert abs(sum(got) - (1.0 if k == 0 else 0.0)) <= 1e-11
+    if k:
+        # one panel as integrate_arcs lays it out, _PERIODS_PER_PANEL periods
+        # of the top frequency under a single order-_PANEL_ORDER rule, with no
+        # adaptive split to hide an inaccurate rule
+        b = _PERIODS_PER_PANEL / abs(k)
+        x, w = leggauss(_PANEL_ORDER)
+        value = np.sum(0.5 * b * w * f(0.5 * b * (x + 1.0)))
+        assert abs(value - (e(k * b) - 1.0) / (2j * math.pi * k)) <= 1e-13 * b
 
 
 def test_adaptive_complex_matches_per_panel_algorithm():
