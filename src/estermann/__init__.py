@@ -18,6 +18,7 @@ from .circle import (
 )
 from .counting import CountBreakdown, brute_force_count, fast_count
 from .errors import (
+    ConvolutionCheckFailed,
     EstermannError,
     ExponentTooSmall,
     FloorInversionFailed,
@@ -52,6 +53,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArcReport",
+    "ConvolutionCheckFailed",
     "CountBreakdown",
     "DerivedParams",
     "EstermannError",

@@ -27,7 +27,7 @@ from .counting import (
     fast_count,
     window_primes,
 )
-from .errors import MemoryBudgetExceeded
+from .errors import ConvolutionCheckFailed, MemoryBudgetExceeded
 from .expsums import _DIRECT_PRODUCT_LIMIT, PhaseReducer, cis
 from .instance import DerivedParams, ProblemInstance, derive_params
 from .quadrature import adaptive_complex, uniform_edges
@@ -157,9 +157,17 @@ def exact_convolution_count(
 ) -> int:
     """The count as the N-th coefficient of the indicator-product series.
 
-    The two prime indicators are convolved exactly in int64; the result is
-    then summed against the floor-power value list.  No quadrature, no
-    floating point.
+    The two prime indicators are convolved in float64, where numpy computes
+    each output entry as a BLAS dot product; the entries at N - v are then
+    gathered for every floor-power value v.  No quadrature.  The float result
+    is exact by construction: every product is 0 or 1, so every partial sum of
+    an output entry is an integer no larger than min(|P1|, |P2|) < 2^53, and
+    float64 adds such integers exactly in any order, including BLAS's blocked
+    and threaded order.  The checksum over all entries is exact likewise: its
+    partial sums are integers no larger than |P1|*|P2|, which is below 2^53
+    for any pair of windows the default budget admits (span1 + span2 <= 2^27).
+
+    Raises ConvolutionCheckFailed when the entries do not sum to |P1|*|P2|.
     """
     p1 = window_primes(inst, 1)
     p2 = window_primes(inst, 2)
@@ -176,18 +184,19 @@ def exact_convolution_count(
             f"convolution of spans {span1} and {span2} needs {entries} entries, "
             f"exceeds budget {mem_entries}"
         )
-    ind1 = np.zeros(span1, dtype=np.int64)
-    ind1[p1 - lo1] = 1
-    ind2 = np.zeros(span2, dtype=np.int64)
-    ind2[p2 - lo2] = 1
-    pair_counts = np.convolve(ind1, ind2)  # exact: int64 in, int64 out
-    base = lo1 + lo2
-    total = 0
-    for v in values:
-        idx = inst.N - int(v) - base
-        if 0 <= idx < len(pair_counts):
-            total += int(pair_counts[idx])
-    return total
+    ind1 = np.zeros(span1)
+    ind1[p1 - lo1] = 1.0
+    ind2 = np.zeros(span2)
+    ind2[p2 - lo2] = 1.0
+    pair_counts = np.convolve(ind1, ind2)
+    checksum, pairs = pair_counts.sum(), len(p1) * len(p2)
+    if checksum != pairs:
+        raise ConvolutionCheckFailed(
+            f"pair counts sum to {checksum!r}, not |P1|*|P2| = {pairs}"
+        )
+    idx = inst.N - (lo1 + lo2) - values
+    idx = idx[(idx >= 0) & (idx < pair_counts.size)]
+    return int(pair_counts[idx].astype(np.int64).sum())
 
 
 @dataclass(frozen=True)

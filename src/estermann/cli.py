@@ -78,7 +78,18 @@ class RunConfig:
     @property
     def mem_entries(self) -> int:
         """--mem-mb in 8-byte entries, the widest the budgeted arrays hold."""
-        return max(self.mem_mb, 1) * (1 << 20) // 8
+        return self.mem_mb * (1 << 20) // 8
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts and budgets: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _instance_from(cfg: RunConfig):
@@ -248,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--mu", type=str, help="three rationals, e.g. 1/3,1/3,1/3")
             p.add_argument("--H", type=int, help="window half-width")
         p.add_argument("--tol", type=float, default=1e-6)
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--mem-mb", dest="mem_mb", type=int, default=2048,
+        p.add_argument("--threads", type=_positive_int, default=1)
+        p.add_argument("--mem-mb", dest="mem_mb", type=_positive_int, default=2048,
                        help="memory budget for window arrays, in MB")
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--format", choices=("json", "csv"), default="json")

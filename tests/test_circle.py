@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import estermann
 from estermann.circle import (
     ExactIntegrand,
     ModelIntegrand,
@@ -59,6 +63,38 @@ def test_convolution_budget():
         with pytest.raises(MemoryBudgetExceeded, match=str(2 * spans - 1)):
             exact_convolution_count(inst, mem_entries=budget)
     assert exact_convolution_count(inst, mem_entries=2 * spans - 1) == fast_count(inst).total
+
+
+# np.convolve answering the true pair counts with one entry off by one: the
+# checksum must catch it.  Run as a script so it can also run under -O.
+_OFF_BY_ONE_CONVOLVE = """
+import numpy as np
+from estermann import ConvolutionCheckFailed, build_instance, exact_convolution_count
+
+honest = np.convolve
+def off_by_one(a, b):
+    out = honest(a, b)
+    out[out.size // 2] += 1
+    return out
+np.convolve = off_by_one
+try:
+    exact_convolution_count(build_instance(10 ** 4, "3/2", ("1/3", "1/3", "1/3"), 500))
+except ConvolutionCheckFailed:
+    print("raised")
+"""
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)])
+def test_convolution_checksum_rejects_bad_entry(flags):
+    src = os.path.dirname(os.path.dirname(estermann.__file__))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _OFF_BY_ONE_CONVOLVE],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "raised"
 
 
 def test_integrand_F_alpha0():

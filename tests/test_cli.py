@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from estermann import circle, cli, instance
 from estermann.cli import RunConfig, main
 from estermann.counting import DEFAULT_MEM_ENTRIES
@@ -167,6 +169,17 @@ def test_mem_mb_counts_megabytes(capsys):
     status, out = run_cli([*args, "--mem-mb", "2"], capsys)
     assert status == 0 and json.loads(out)["total"] > 0
     assert RunConfig(command="count").mem_entries == DEFAULT_MEM_ENTRIES
+
+
+@pytest.mark.parametrize("command", ["count", "arcs"])
+@pytest.mark.parametrize("flag", ["--mem-mb", "--threads"])
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_non_positive_budget_flags_exit_2(command, flag, value, capsys):
+    args = [command, "--N", "100", "--c", "3/2", "--mu", "1/3,1/3,1/3", "--H", "5"]
+    with pytest.raises(SystemExit) as exc:
+        main([*args, flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
 
 
 def test_non_rational_exponent_rejected(capsys):

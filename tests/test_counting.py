@@ -1,7 +1,12 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from estermann.circle import exact_convolution_count
 from estermann.counting import CountBreakdown, brute_force_count, fast_count
 from estermann.errors import MemoryBudgetExceeded, OracleLimitExceeded
 from estermann.instance import build_instance
@@ -98,3 +103,39 @@ def test_json_csv_serialization():
     empty = build_instance(10 ** 4, "3/2", ("1/3", "1/3", "1/3"), 0)
     eb = fast_count(empty)
     assert CountBreakdown.from_json(eb.to_json()) == eb
+
+
+@st.composite
+def small_instances(draw):
+    """N <= 3000, mu drawn as verify.random_instances draws it, any valid H."""
+    N = draw(st.integers(1, 3000))
+    c = draw(st.sampled_from(("3/2", "5/3", "7/4", "5/2", "13/7")))
+    d1, d2 = draw(st.integers(2, 9)), draw(st.integers(2, 9))
+    mu1 = Fraction(draw(st.integers(1, d1 - 1)), 2 * d1)
+    mu2 = Fraction(draw(st.integers(1, d2 - 1)), 2 * d2)
+    mu = (mu1, mu2, 1 - mu1 - mu2)
+    H = draw(st.integers(0, math.floor(min(mu) * N)))
+    return build_instance(N, c, mu, H)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_instances())
+# H = floor(min_k mu_k N): the widest valid window, an exact and a rounded edge
+@example(build_instance(3000, "5/2", ("1/4", "1/4", "1/2"), 750))
+@example(build_instance(2999, "13/7", ("1/6", "1/3", "1/2"), 499))
+# window 1 = [24, 26] holds no prime; windows 2 and 3 are not empty
+@example(build_instance(100, "3/2", ("1/4", "3/10", "9/20"), 1))
+# window 3 = [497, 503] holds no floor(n^(13/7))
+@example(build_instance(1000, "13/7", ("1/4", "1/4", "1/2"), 3))
+def test_three_counting_paths_agree(inst):
+    b = brute_force_count(inst)
+    f = fast_count(inst)
+    assert b.total == f.total
+    assert b.per_n == f.per_n
+    assert exact_convolution_count(inst) == f.total
+
+
+def test_convolution_matches_fast_count_on_threaded_dots():
+    # prime spans of ~6e4: long enough that OpenBLAS splits each dot product
+    inst = build_instance(2 * 10 ** 6, "3/2", ("1/3", "1/3", "1/3"), 3 * 10 ** 4)
+    assert exact_convolution_count(inst) == fast_count(inst).total
