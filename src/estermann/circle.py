@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import mpmath as mp
 import numpy as np
 
 from .counting import (
@@ -28,11 +29,9 @@ from .counting import (
     window_primes,
 )
 from .errors import ConvolutionCheckFailed, MemoryBudgetExceeded
-from .expsums import _DIRECT_PRODUCT_LIMIT, PhaseReducer, cis
 from .instance import DerivedParams, ProblemInstance, derive_params
 from .quadrature import adaptive_complex, uniform_edges
 
-_TWO_PI = 2.0 * math.pi
 # A panel spans this many periods of the top frequency.  numpy's order-32
 # Gauss-Legendre rule integrates e(k*alpha) over a panel of up to P periods
 # with an error, relative to the panel width, of at most 1.7e-15 at P = 8,
@@ -52,13 +51,18 @@ _PANEL_ORDER = 32
 class ExactIntegrand:
     """F(alpha) * e(-alpha*N) with F the product of the three window sums.
 
-    Window data is sieved once.  A batch of alphas is evaluated in row chunks
-    of at most _CHUNK_ELEMENTS phases (one row per alpha, one column per
-    window element), so memory stays flat however many nodes arrive.  Rows
-    whose products alpha*v stay below 2^20 keep 1e-10 mod-1 accuracy in a
-    plain double product and are reduced mod 1 in place; the rest go through
-    PhaseReducer, which reduces exactly for the dyadic rational each float
-    node is.
+    The windows are centred, so each is stored as integer offsets k = x - b
+    from a base b near its centre: b1 = round(mu1*N), b2 = round(mu2*N) and
+    b3 = N - b1 - b2.  The bases sum to N, so e(-alpha*N) cancels exactly and
+    the integrand is the product of the three sums of e(alpha*k), with every
+    |k| <= H + 1 (|b3 - mu3*N| <= 1).  A batch of alphas is evaluated in row
+    chunks of at most _CHUNK_ELEMENTS phases (one row per alpha, one column
+    per window element), so memory stays flat however many nodes arrive.
+
+    No exact phase reduction is needed.  For |alpha| <= 1/2 the double product
+    alpha*k is off by at most 2^-54 * (H + 1) turns.  Rounding the node alpha
+    to a double already moves the true integrand's phases, which reach about
+    3H, by the same order, so reducing the rounded node exactly buys nothing.
     """
 
     # 128 KiB per temporary: a chunk's arrays stay in L2 and peak RSS stays flat
@@ -68,14 +72,17 @@ class ExactIntegrand:
         self.inst = inst
         self.p1 = window_primes(inst, 1)
         self.p2 = window_primes(inst, 2)
-        self.n_range, self.values = admissible_floor_values(inst)
-        self._arrays = [np.asarray(a, dtype=np.int64) for a in (self.p1, self.p2, self.values)]
-        self._support = np.concatenate(self._arrays).astype(np.float64)
-        self._bounds = np.cumsum([0] + [a.size for a in self._arrays])
-        self._vmax = max((int(a.max()) for a in self._arrays if a.size), default=0)
+        _, self.values = admissible_floor_values(inst)
+        windows = (self.p1, self.p2, self.values)
+        b1, b2 = round(inst.mu_N(1)), round(inst.mu_N(2))
+        bases = (b1, b2, inst.N - b1 - b2)
+        self._offsets = np.concatenate(
+            [np.asarray(w, dtype=np.int64) - b for w, b in zip(windows, bases)]
+        ).astype(np.float64)
+        self._bounds = np.cumsum([0] + [len(w) for w in windows])
 
     def is_empty(self) -> bool:
-        return any(a.size == 0 for a in self._arrays)
+        return any(len(w) == 0 for w in (self.p1, self.p2, self.values))
 
     def max_frequency(self) -> float:
         """Largest |p1 + p2 + v - N| over the attainable support."""
@@ -85,18 +92,9 @@ class ExactIntegrand:
         smax = int(self.p1[-1] + self.p2[-1] + self.values.max())
         return float(max(abs(smin - self.inst.N), abs(smax - self.inst.N), 1))
 
-    def _sums(self, a: float) -> tuple[complex, complex, complex, complex]:
-        """The three window sums at alpha = a, and e(-a*N), via PhaseReducer."""
-        r = PhaseReducer(a)
-        sums = []
-        for arr in self._arrays:
-            theta = _TWO_PI * r.frac(arr)
-            sums.append(complex(np.cos(theta).sum(), np.sin(theta).sum()))
-        return sums[0], sums[1], sums[2], cis(r.frac_int(self.inst.N)).conjugate()
-
-    def _direct(self, a: np.ndarray) -> np.ndarray:
-        """F(alpha)e(-alpha*N) for rows with |alpha|*max(v, N) <= 2^20."""
-        x = a[:, None] * self._support
+    def _chunk(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Real and imaginary parts of the integrand at a chunk of alphas."""
+        x = a[:, None] * self._offsets
         x -= np.rint(x)
         # e(x) = (1 - t^2 + 2it) / (1 + t^2) with t = tan(pi*x), |x| <= 1/2:
         # one tangent per phase instead of a cosine and a sine.  Computed in
@@ -106,27 +104,27 @@ class ExactIntegrand:
         w = np.reciprocal(t2 + 1.0)
         cos = np.multiply(np.subtract(1.0, t2, out=t2), w, out=t2)
         sin = np.multiply(np.multiply(t, 2.0, out=t), w, out=t)
-        out = np.ones(a.size, dtype=complex)
-        for lo, hi in zip(self._bounds[:-1], self._bounds[1:]):
-            out *= cos[:, lo:hi].sum(axis=1) + 1j * sin[:, lo:hi].sum(axis=1)
-        phase_N = a * float(self.inst.N)
-        phase_N -= np.rint(phase_N)
-        return out * np.exp(-2j * np.pi * phase_N)
+        # The product in real arithmetic: numpy's complex multiply rounds
+        # differently in its vector and scalar loops, which would make a
+        # node's value depend on where it sits in the batch.
+        sums = [
+            (cos[:, lo:hi].sum(axis=1), sin[:, lo:hi].sum(axis=1))
+            for lo, hi in zip(self._bounds[:-1], self._bounds[1:])
+        ]
+        re, im = sums[0]
+        for c, s in sums[1:]:
+            re, im = re * c - im * s, re * s + im * c
+        return re, im
 
     def __call__(self, alphas: np.ndarray) -> np.ndarray:
         a = np.asarray(alphas, dtype=np.float64)
         out = np.zeros(a.shape, dtype=complex)
         if self.is_empty():
             return out
-        direct = np.abs(a) * max(self._vmax, self.inst.N) <= _DIRECT_PRODUCT_LIMIT
-        rows = np.flatnonzero(direct)
-        step = max(1, self._CHUNK_ELEMENTS // self._support.size)
-        for start in range(0, rows.size, step):
-            chunk = rows[start : start + step]
-            out[chunk] = self._direct(a[chunk])
-        for i in np.flatnonzero(~direct):
-            s1, s2, s3, eN = self._sums(float(a[i]))
-            out[i] = s1 * s2 * s3 * eN
+        step = max(1, self._CHUNK_ELEMENTS // self._offsets.size)
+        for start in range(0, a.size, step):
+            part = out[start : start + step]
+            part.real, part.imag = self._chunk(a[start : start + step])
         return out
 
 
@@ -379,47 +377,33 @@ def sine_power_integral(n: int, m: int = 1) -> float:
     return math.pi * m ** (n - 1) * total / (2 ** n * math.factorial(n - 1))
 
 
-def _sin3_over_u3(u: np.ndarray) -> np.ndarray:
-    """sin(u)^3 / u^3 with the u -> 0 limit handled by series."""
-    u = np.asarray(u, dtype=np.float64)
-    small = np.abs(u) < 1e-3
-    safe = np.where(small, 1.0, u)
-    direct = (np.sin(safe) / safe) ** 3
-    u2 = u * u
-    series = 1.0 - 0.5 * u2 + (13.0 / 120.0) * u2 * u2
-    return np.where(small, series, direct)
+def sin3_integral(T: float) -> float:
+    """integral of sin(u)^3/u^3 du over [0, T], in closed form.
 
-
-def sin3_integral(T: float, *, rel_tol: float = 1e-10) -> float:
-    """integral of sin(u)^3/u^3 du over [0, T] by adaptive panels."""
+    I(T) = -sin^3 T/(2T^2) - 3 sin^2 T cos T/(2T) + (9 Si(3T) - 3 Si(T))/8,
+    which tends to 3 pi/8.  Below T = 1e-3 the series T - T^3/6 + 13 T^5/600
+    is used instead: its first omitted term is below 1e-18 * T there, and it
+    stays exact where the powers of T in the closed form underflow.
+    """
     if T <= 0:
         return 0.0
-    n_panels = max(4, int(math.ceil(T / math.pi)))
-    value, _err, _n = adaptive_complex(
-        lambda u: _sin3_over_u3(u).astype(complex),
-        uniform_edges(0.0, T, n_panels),
-        abs_tol=rel_tol * max(T, 1.0),
-        order=16,
-    )
-    return value.real
+    if T < 1e-3:
+        T2 = T * T
+        return T * (1.0 - T2 / 6.0 + (13.0 / 600.0) * T2 * T2)
+    s, c = math.sin(T), math.cos(T)
+    si = 9.0 * float(mp.si(3.0 * T)) - 3.0 * float(mp.si(T))
+    return -s ** 3 / (2.0 * T * T) - 3.0 * s * s * c / (2.0 * T) + si / 8.0
 
 
 @dataclass(frozen=True)
 class SingularIntegralJ:
-    """J(H) over [-kappa, kappa], its 3H^2 limit, and the cut-off tail bound."""
+    """J(H) over [-kappa, kappa] and its 3H^2 limit."""
 
     value: float
     reference: float  # 3 H^2, the kappa -> infinity limit
-    tail_bound: float
 
 
-# Integrating sin^3(u)/u^3 panel-by-panel past this point is pointless: the
-# remaining tail is below 5e-11 of the integral and the analytic bound covers
-# it.
-_SIN3_CUTOFF = 1.0e5
-
-
-def singular_integral_J(H: float, kappa: float, *, rel_tol: float = 1e-10) -> SingularIntegralJ:
+def singular_integral_J(H: float, kappa: float) -> SingularIntegralJ:
     """J(H) = integral over [-kappa, kappa] of sin^3(2 pi alpha H)/(pi alpha)^3.
 
     Substituting u = 2 pi alpha H gives (8 H^2 / pi) * integral of
@@ -429,9 +413,5 @@ def singular_integral_J(H: float, kappa: float, *, rel_tol: float = 1e-10) -> Si
     if H <= 0 or kappa <= 0:
         raise ValueError("singular_integral_J requires H > 0 and kappa > 0")
     T = 2.0 * math.pi * kappa * H
-    T_eff = min(T, _SIN3_CUTOFF)
-    core = sin3_integral(T_eff, rel_tol=rel_tol)
-    # |integral beyond T_eff| <= integral of u^-3 = 1/(2 T_eff^2), scaled.
-    tail = (8.0 * H * H / math.pi) * 0.5 / (T_eff * T_eff) if T > T_eff else 0.0
-    value = (8.0 * H * H / math.pi) * core
-    return SingularIntegralJ(value=value, reference=3.0 * H * H, tail_bound=tail)
+    value = (8.0 * H * H / math.pi) * sin3_integral(T)
+    return SingularIntegralJ(value=value, reference=3.0 * H * H)

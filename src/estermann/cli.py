@@ -304,6 +304,14 @@ def main(argv=None) -> int:
         sieve.load_base_prime_cache(cache_path)
     try:
         status = _COMMANDS[cfg.command](cfg)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+    except BrokenPipeError:
+        # The reader of stdout has gone.  Point stdout at /dev/null so the
+        # flush at exit does not fail again, and exit 1 without a traceback.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        status = 1
     except (EstermannError, ValueError) as exc:
         # covers non-rational flag syntax ("--c 1.41") and bad instances
         hint = "; raise --mem-mb" if isinstance(exc, MemoryBudgetExceeded) else ""

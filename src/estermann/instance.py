@@ -114,8 +114,8 @@ class DerivedParams:
     """Derived window parameters at >= 64-bit-significand precision.
 
     n3 satisfies n3^c = mu3*N + H and h3 = n3 - (mu3*N - H)^(1/c), so n runs
-    over (n3 - h3, n3].  n3_leading and h3_leading are the leading-order
-    expansions (mu3*N)^(1/c) * (1 + H/(c*mu3*N)) and 2H/(c*(mu3*N)^(1-1/c)).
+    over (n3 - h3, n3].  h3_leading is the leading-order expansion
+    2H/(c*(mu3*N)^(1-1/c)).
     """
 
     inst: ProblemInstance
@@ -125,9 +125,7 @@ class DerivedParams:
     h3: mp.mpf
     kappa: mp.mpf
     windows: tuple[tuple[int, int], tuple[int, int], tuple[int, int]]
-    n3_leading: mp.mpf
     h3_leading: mp.mpf
-    arc_split_ok: bool
 
     @property
     def H(self) -> int:
@@ -136,9 +134,6 @@ class DerivedParams:
     @property
     def mu3_N(self) -> Fraction:
         return self.inst.mu_N(3)
-
-    def log_mu_N(self, k: int) -> float:
-        return math.log(self.inst.mu_N(k))
 
 
 def _root_c(x: Fraction, c: RationalExponent) -> mp.mpf:
@@ -160,9 +155,7 @@ def derive_params(inst: ProblemInstance) -> DerivedParams:
 
         mu3N = inst.mu_N(3)
         mu3N_mp = mp.mpf(mu3N.numerator) / mp.mpf(mu3N.denominator)
-        root0 = _root_c(mu3N, c)
         cf = mp.mpf(c.p) / mp.mpf(c.q)
-        n3_leading = root0 * (1 + H / (cf * mu3N_mp))
         h3_leading = 2 * H / (cf * mu3N_mp ** (1 - 1 / cf))
 
         windows = (inst.window(1), inst.window(2), inst.window(3))
@@ -174,9 +167,7 @@ def derive_params(inst: ProblemInstance) -> DerivedParams:
             h3=h3,
             kappa=kappa,
             windows=windows,
-            n3_leading=n3_leading,
             h3_leading=h3_leading,
-            arc_split_ok=bool(0 < kappa < mp.mpf("0.5")),
         )
 
 

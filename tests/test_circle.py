@@ -266,6 +266,30 @@ def test_sine_power_integral_values():
     assert sine_power_integral(2) == pytest.approx(math.pi / 2, abs=1e-15)
 
 
+def _sin3_over_u3(u: np.ndarray) -> np.ndarray:
+    """sin(u)^3 / u^3 with the u -> 0 limit handled by series."""
+    small = np.abs(u) < 1e-3
+    safe = np.where(small, 1.0, u)
+    u2 = u * u
+    return np.where(small, 1.0 - 0.5 * u2 + (13.0 / 120.0) * u2 * u2, (np.sin(safe) / safe) ** 3)
+
+
+@pytest.mark.parametrize("T", [1e-6, 9e-4, 1.1e-3, 0.5, 3.0, 40.0, 1234.5])
+def test_sin3_closed_form_vs_quadrature(T):
+    # the series branch (T < 1e-3) and the closed form, against panels of at
+    # most one period of sin
+    edges = uniform_edges(0.0, T, max(4, math.ceil(T / math.pi)))
+    f = lambda u: _sin3_over_u3(u).astype(complex)
+    ref = adaptive_complex(f, edges, 1e-14 * min(T, 1.0), order=16)[0].real
+    assert abs(sin3_integral(T) - ref) <= 1e-14 * min(T, 1.0)
+
+
+def test_sin3_tiny_T():
+    # T^3 underflows in the closed form; the integrand is 1 to all digits
+    assert sin3_integral(1e-200) == 1e-200
+    assert sin3_integral(0.0) == 0.0
+
+
 def test_sin3_finite_plus_tail_vs_watson():
     T = 2000.0
     finite = sin3_integral(T)
@@ -292,8 +316,7 @@ def test_singular_J_small_kappa_regime():
 
 def test_singular_J_tail_bound_cutoff():
     J = singular_integral_J(10 ** 6, 0.4)
-    assert J.tail_bound > 0
-    assert abs(J.value - J.reference) <= J.reference * 1e-4 + J.tail_bound
+    assert abs(J.value - J.reference) <= J.reference * 1e-4
 
 
 def test_singular_J_rejects_bad_args():

@@ -229,3 +229,27 @@ def test_prime_cache_env(tmp_path):
     )
     assert proc2.returncode == 0
     assert json.loads(proc.stdout)["total"] == json.loads(proc2.stdout)["total"]
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_exits_quietly(unbuffered):
+    # The read end is closed before the child starts, so every write to
+    # stdout fails with EPIPE however the child is scheduled.  Buffered, the
+    # failure comes at the flush; unbuffered, at the write itself.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "estermann", "count", "--N", "12", "--c", "3/2",
+             "--mu", "1/4,1/4,1/2", "--H", "3"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 1

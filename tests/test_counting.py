@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from estermann.arith import floor_pow
 from estermann.circle import exact_convolution_count
 from estermann.counting import CountBreakdown, brute_force_count, fast_count
 from estermann.errors import MemoryBudgetExceeded, OracleLimitExceeded
@@ -109,7 +110,7 @@ def test_json_csv_serialization():
 def small_instances(draw):
     """N <= 3000, mu drawn as verify.random_instances draws it, any valid H."""
     N = draw(st.integers(1, 3000))
-    c = draw(st.sampled_from(("3/2", "5/3", "7/4", "5/2", "13/7")))
+    c = draw(st.sampled_from(("3/2", "5/3", "7/4", "5/2", "13/7", "13/9", "17/12")))
     d1, d2 = draw(st.integers(2, 9)), draw(st.integers(2, 9))
     mu1 = Fraction(draw(st.integers(1, d1 - 1)), 2 * d1)
     mu2 = Fraction(draw(st.integers(1, d2 - 1)), 2 * d2)
@@ -127,12 +128,28 @@ def small_instances(draw):
 @example(build_instance(100, "3/2", ("1/4", "3/10", "9/20"), 1))
 # window 3 = [497, 503] holds no floor(n^(13/7))
 @example(build_instance(1000, "13/7", ("1/4", "1/4", "1/2"), 3))
+# a window-3 edge at an exact power (m^q)^(p/q) = m^p: upper edges
+# 144^(3/2) = 1728, 64^(5/3) = 1024 and 512^(13/9) = 8192, lower edges
+# 121^(3/2) = 1331 and 81^(7/4) = 2187
+@example(build_instance(3000, "3/2", ("1/4", "1/4", "1/2"), 228))
+@example(build_instance(2000, "5/3", ("1/4", "1/4", "1/2"), 24))
+@example(build_instance(16000, "13/9", ("1/4", "1/4", "1/2"), 192))
+@example(build_instance(3000, "3/2", ("1/4", "1/4", "1/2"), 169))
+@example(build_instance(4800, "7/4", ("1/4", "1/4", "1/2"), 213))
 def test_three_counting_paths_agree(inst):
     b = brute_force_count(inst)
     f = fast_count(inst)
     assert b.total == f.total
     assert b.per_n == f.per_n
     assert exact_convolution_count(inst) == f.total
+    # the n of window 3 by plain enumeration, not by inverting floor_pow
+    lo, hi = inst.window(3)
+    want, n = [], 1
+    while (v := floor_pow(n, inst.c)) <= hi:
+        if v >= lo:
+            want.append((n, v))
+        n += 1
+    assert [(n, v) for n, v, _ in f.per_n] == want
 
 
 def test_convolution_matches_fast_count_on_threaded_dots():

@@ -7,10 +7,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from estermann.circle import _PANEL_ORDER, _PERIODS_PER_PANEL, ExactIntegrand
 from estermann.errors import ToleranceNotMet
-from estermann.expsums import _DIRECT_PRODUCT_LIMIT
+from estermann.expsums import PhaseReducer, cis, eval_prime_sum, eval_S_c
 from estermann import quadrature
 from estermann.instance import build_instance
 from estermann.quadrature import adaptive_complex, leggauss, uniform_edges
@@ -122,25 +124,60 @@ def test_adaptive_complex_budget_checked_before_evaluating():
     assert calls == [24, 48, 96]
 
 
-# A small window and one at N = 4e6, where |alpha| > 0.26 takes the exact
-# PhaseReducer reduction and smaller |alpha| the in-place one.
-INTEGRAND_CASES = [(5000, 400), (4_000_000, 1500)]
+# N from 5e3 to 1e9: alpha*v reaches 5e8 turns at the largest, while the
+# integrand's phases alpha*(v - b) stay within (H + 1)/2 turns at every N.
+INTEGRAND_CASES = [(5000, 400), (4_000_000, 1500), (10 ** 9, 3000)]
+
+
+# Near a/q with small q the prime sums are large (about |P|/phi(q)), so the
+# integrand is, and so is any error in its phases.
+_RATIONALS = [sign * j / q for q in range(2, 8) for j in range(1, q // 2 + 1) for sign in (1, -1)]
 
 
 def _alphas(n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
-    return np.concatenate([rng.uniform(-0.5, 0.5, n), [0.0, 0.5, -0.5, 1e-9]])
+    return np.concatenate([rng.uniform(-0.5, 0.5, n), _RATIONALS, [0.0, 1e-9]])
+
+
+def centred_bound(H: int, sizes) -> float:
+    """A-priori error of ExactIntegrand against exactly reduced phases.
+
+    Each phase alpha*k, |k| <= H + 1, is off by at most 2^-54 * (H + 1) turns
+    (one more in H + 2 for the rounding of pi*x), so each unit term by 2*pi
+    times that; 1e-14 covers the tangent, the coefficient formulas and the
+    sums.  Three sums make up the product.
+    """
+    return (3 * 2 * math.pi * 2.0 ** -54 * (H + 2) + 1e-14) * math.prod(sizes)
+
+
+def exact_phase_oracle(f: ExactIntegrand, alpha: float) -> complex:
+    """F(alpha)e(-alpha N) with every phase reduced mod 1 in exact rationals."""
+    a = Fraction(alpha)
+    value = e(float(-a * f.inst.N % 1))
+    for arr in (f.p1, f.p2, f.values):
+        value *= sum(e(float(a * int(v) % 1)) for v in arr)
+    return value
 
 
 @pytest.mark.parametrize("N, H", INTEGRAND_CASES)
 def test_batched_integrand_matches_per_node_sums(N, H):
     f = ExactIntegrand(build_instance(N, "3/2", THIRD, H))
     alphas = _alphas(700, N)  # several row chunks
-    direct = np.abs(alphas) * max(f._vmax, N) <= _DIRECT_PRODUCT_LIMIT
-    assert direct.any() and (N < 4_000_000 or not direct.all())
     batched = f(alphas)
-    ref = np.array([s1 * s2 * s3 * eN for s1, s2, s3, eN in map(f._sums, alphas.tolist())])
-    assert np.all(np.abs(batched - ref) <= 1e-10 * np.abs(ref))
+    ref = np.array(
+        [
+            eval_prime_sum(a, 0, 0, primes=f.p1)
+            * eval_prime_sum(a, 0, 0, primes=f.p2)
+            * eval_S_c(a, 0, 0, f.inst.c, values=f.values)
+            * cis(PhaseReducer(a).frac_int(N)).conjugate()
+            for a in alphas.tolist()
+        ]
+    )
+    # the referee reduces a phase alpha*v <= 2^20 in a double, off by at most
+    # 2^-33 turns, so each unit term by 2*pi*2^-33 < 7.4e-10, and the product
+    # by 3 * 7.4e-10 * |P1||P2||V| (+ the same for e(-alpha N)); where the sums
+    # cancel, |ref| is far below that, so the bound is absolute
+    assert np.all(np.abs(batched - ref) <= 3e-9 * len(f.p1) * len(f.p2) * len(f.values))
     # a node's value does not depend on the batch it arrives in
     pieces = np.concatenate([f(part) for part in np.array_split(alphas, 7)])
     assert np.array_equal(pieces, batched)
@@ -148,18 +185,24 @@ def test_batched_integrand_matches_per_node_sums(N, H):
 
 @pytest.mark.parametrize("N, H", INTEGRAND_CASES)
 def test_batched_integrand_matches_exact_phases(N, H):
-    inst = build_instance(N, "3/2", THIRD, H)
-    f = ExactIntegrand(inst)
+    f = ExactIntegrand(build_instance(N, "3/2", THIRD, H))
     alphas = _alphas(16, N + 1)
-    got = f(alphas)
-    sizes = [len(f.p1), len(f.p2), len(f.values)]
-    for alpha, value in zip(alphas.tolist(), got):
-        # every phase reduced mod 1 in exact rationals, then rounded once
-        a = Fraction(alpha)
-        oracle = e(float(-a * inst.N % 1))
-        for arr in (f.p1, f.p2, f.values):
-            oracle *= sum(e(float(a * int(v) % 1)) for v in arr)
-        # a phase alpha*v <= 2^20 rounded in a double is off by at most
-        # 2^-33 turns, so each unit term by at most 2*pi*2^-33 < 7.4e-10, and
-        # F by at most 3 * 7.4e-10 * |P1||P2||V| (+ the same for e(-alpha N)).
-        assert abs(value - oracle) <= 3e-9 * math.prod(sizes), alpha
+    bound = centred_bound(H, (len(f.p1), len(f.p2), len(f.values)))
+    for alpha, value in zip(alphas.tolist(), f(alphas)):
+        assert abs(value - exact_phase_oracle(f, alpha)) <= bound, alpha
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    log_N=st.floats(math.log(1e3), math.log(1e9)),
+    c=st.sampled_from(["3/2", "5/3", "7/4", "13/9"]),
+    mu=st.sampled_from([THIRD, ("1/4", "1/4", "1/2"), ("2/5", "1/5", "2/5")]),
+    H=st.integers(1, 60),
+    alpha=st.floats(-0.5, 0.5),
+)
+def test_integrand_within_centred_bound(log_N, c, mu, H, alpha):
+    N = round(math.exp(log_N))
+    f = ExactIntegrand(build_instance(N, c, mu, H))
+    value = f(np.array([alpha]))[0]
+    bound = centred_bound(H, (len(f.p1), len(f.p2), len(f.values)))
+    assert abs(value - exact_phase_oracle(f, alpha)) <= bound
