@@ -47,7 +47,7 @@ from .instance import (
     derive_params,
     hypothesis_report,
 )
-from .sieve import PrimeSegment, lambda_segment, pi_interval, primes_in, psi
+from .sieve import lambda_segment, pi_interval, primes_in, psi
 
 __version__ = "0.1.0"
 
@@ -65,7 +65,6 @@ __all__ = [
     "MuSumNotOne",
     "OracleLimitExceeded",
     "PhaseReducer",
-    "PrimeSegment",
     "ProblemInstance",
     "RationalExponent",
     "ToleranceNotMet",

@@ -36,9 +36,6 @@ class RationalExponent:
     def parse(cls, text: str) -> "RationalExponent":
         return cls.from_fraction(parse_rational(text))
 
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.p, self.q)
-
     def __float__(self) -> float:
         return self.p / self.q
 

@@ -18,7 +18,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import sieve
 from .arith import parse_rational
 from .circle import integrate_arcs
 from .counting import brute_force_count, fast_count
@@ -35,8 +34,6 @@ from .expsums import (
 from .instance import build_instance, derive_params, hypothesis_report
 from .sieve import lambda_segment, primes_in
 from .verify import run_verify
-
-CACHE_ENV = "ESTERMANN_CACHE"
 
 EXPSUM_KINDS = ("Sc", "S1", "prime", "Sc_sinc", "Sc_integral", "S1_approx", "prime_approx")
 
@@ -93,8 +90,6 @@ def _positive_int(text: str) -> int:
 
 
 def _instance_from(cfg: RunConfig):
-    if cfg.N is None or cfg.c is None or cfg.mu is None or cfg.H is None:
-        raise EstermannError("this command needs --N, --c, --mu and --H")
     mu = tuple(parse_rational(part) for part in cfg.mu.split(","))
     return build_instance(cfg.N, cfg.c, mu, cfg.H)
 
@@ -151,10 +146,6 @@ def _parse_grid(text: str) -> np.ndarray:
 
 
 def _cmd_expsum(cfg: RunConfig) -> int:
-    if cfg.kind not in EXPSUM_KINDS:
-        raise EstermannError(f"--kind must be one of {', '.join(EXPSUM_KINDS)}")
-    if not cfg.alpha_grid:
-        raise EstermannError("--alpha-grid start:stop:count is required")
     inst = _instance_from(cfg)
     dp = derive_params(inst)
     grid = _parse_grid(cfg.alpha_grid)
@@ -196,10 +187,6 @@ def _cmd_verify(cfg: RunConfig) -> int:
 
 
 def _cmd_sweep(cfg: RunConfig) -> int:
-    if not cfg.N_list:
-        raise EstermannError("--N-list is required, e.g. 10000,100000,1000000")
-    if cfg.c is None or cfg.mu is None:
-        raise EstermannError("sweep needs --c and --mu")
     rows = ["N,c,H,kappa,exact_total,main_term,ratio,I_major_re,I_minor_abs"]
     for n_text in cfg.N_list.split(","):
         N = int(n_text)
@@ -242,50 +229,65 @@ _COMMANDS = {
 }
 
 
+# Flags shared by several commands.  A command accepts only the flags it
+# reads.  The parser sets no defaults: a flag that is not given, or that the
+# command does not take, takes RunConfig's default, so every config block
+# lists the same fields.
+_FLAGS = {
+    "--N": dict(type=int, required=True, help="target integer"),
+    "--c": dict(type=str, required=True, help="exponent as p/q, e.g. 3/2"),
+    "--mu": dict(type=str, required=True, help="three rationals, e.g. 1/3,1/3,1/3"),
+    "--H": dict(type=int, required=True, help="window half-width"),
+    "--tol": dict(type=float),
+    "--threads": dict(type=_positive_int),
+    "--mem-mb": dict(dest="mem_mb", type=_positive_int,
+                     help="memory budget for window arrays, in MB"),
+    "--out": dict(type=str),
+    "--format": dict(choices=("json", "csv")),
+}
+
+
 @functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by later calls."""
+    # allow_abbrev=False everywhere: a prefix of another command's flag
+    # (sweep --H for --H-exponent) must be an error, not a silent remap.
     parser = argparse.ArgumentParser(
         prog="estermann",
         description="Count representations N = p1 + p2 + floor(n^c) in "
         "almost-proportional windows and analyze the counting integral.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, instance=True):
-        if instance:
-            p.add_argument("--N", type=int, help="target integer")
-            p.add_argument("--c", type=str, help="exponent as p/q, e.g. 3/2")
-            p.add_argument("--mu", type=str, help="three rationals, e.g. 1/3,1/3,1/3")
-            p.add_argument("--H", type=int, help="window half-width")
-        p.add_argument("--tol", type=float, default=1e-6)
-        p.add_argument("--threads", type=_positive_int, default=1)
-        p.add_argument("--mem-mb", dest="mem_mb", type=_positive_int, default=2048,
-                       help="memory budget for window arrays, in MB")
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+    def add_command(name, summary, *flags):
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        return p
 
-    p_count = sub.add_parser("count", help="exact representation count")
-    add_common(p_count)
-    p_count.add_argument("--method", choices=("fast", "brute"), default="fast")
+    instance = ("--N", "--c", "--mu", "--H")
+    # count reads no thread count; it takes --threads only because the benchmark
+    # harness in perfbench/workloads.py passes "--threads 1" to every command.
+    p_count = add_command("count", "exact representation count", *instance,
+                          "--threads", "--mem-mb", "--out", "--format")
+    p_count.add_argument("--method", choices=("fast", "brute"))
 
-    p_arcs = sub.add_parser("arcs", help="major/minor arc integrals")
-    add_common(p_arcs)
-    p_arcs.add_argument("--mode", choices=("exact", "model"), default="exact")
+    p_arcs = add_command("arcs", "major/minor arc integrals", *instance,
+                         "--tol", "--threads", "--mem-mb", "--out")
+    p_arcs.add_argument("--mode", choices=("exact", "model"))
 
-    p_exp = sub.add_parser("expsum", help="exponential-sum grid to CSV")
-    add_common(p_exp)
+    p_exp = add_command("expsum", "exponential-sum grid to CSV", *instance, "--out")
     p_exp.add_argument("--kind", choices=EXPSUM_KINDS, required=True)
     p_exp.add_argument("--alpha-grid", dest="alpha_grid", type=str, required=True)
 
-    p_ver = sub.add_parser("verify", help="run the property suite")
-    add_common(p_ver, instance=False)
+    p_ver = add_command("verify", "run the property suite")
     p_ver.add_argument("--quick", action="store_true")
 
-    p_sweep = sub.add_parser("sweep", help="ratio exact/main-term over an N grid")
-    add_common(p_sweep)
-    p_sweep.add_argument("--N-list", dest="N_list", type=str)
-    p_sweep.add_argument("--H-exponent", dest="H_exponent", type=float, default=0.8)
+    p_sweep = add_command("sweep", "ratio exact/main-term over an N grid",
+                          "--c", "--mu", "--tol", "--threads", "--mem-mb", "--out")
+    p_sweep.add_argument("--N-list", dest="N_list", type=str, required=True)
+    p_sweep.add_argument("--H-exponent", dest="H_exponent", type=float)
 
     return parser
 
@@ -298,10 +300,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     cfg = config_from_args(args)
-
-    cache_path = os.environ.get(CACHE_ENV)
-    if cache_path:
-        sieve.load_base_prime_cache(cache_path)
     try:
         status = _COMMANDS[cfg.command](cfg)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
@@ -317,11 +315,6 @@ def main(argv=None) -> int:
         hint = "; raise --mem-mb" if isinstance(exc, MemoryBudgetExceeded) else ""
         print(f"error: {exc}{hint}", file=sys.stderr)
         return 2
-    if cache_path:
-        try:
-            sieve.write_base_prime_cache(cache_path, sieve._base_limit)
-        except OSError:
-            pass
     return status
 
 

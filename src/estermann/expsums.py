@@ -286,27 +286,3 @@ def approx_prime_sum(alpha: float, N_k: float, H: float, mu_k: Fraction, N: int)
     r = PhaseReducer(alpha)
     phase = r.frac_fraction(mu_k * N)
     return (2.0 * H / log_muN) * sinc(_TWO_PI * alpha * H) * cis(phase)
-
-
-def sc_minor_profile(
-    dp: DerivedParams,
-    c: RationalExponent,
-    n_points: int = 1000,
-) -> dict:
-    """Measured decay profile of |eval_S_c|/H3 on the arc [kappa, 1/2].
-
-    Reported, never asserted: the decay bound's constants are unspecified,
-    so this is regime telemetry rather than a checkable contract.
-    """
-    kappa = float(dp.kappa)
-    h3 = float(dp.h3)
-    values = floor_pow_values(dp.n3, dp.h3, c)
-    grid = np.linspace(min(kappa, 0.5), 0.5, n_points)
-    mags = np.array(
-        [abs(eval_S_c(a, dp.n3, dp.h3, c, values=values)) / h3 for a in grid]
-    )
-    return {
-        "alpha": grid,
-        "normalized_magnitude": mags,
-        "max": float(mags.max()) if len(mags) else float("nan"),
-    }

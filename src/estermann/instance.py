@@ -55,10 +55,6 @@ class ProblemInstance:
     mu: tuple[Fraction, Fraction, Fraction]
     H: int
 
-    @property
-    def log_N(self) -> float:
-        return math.log(self.N)
-
     def mu_N(self, k: int) -> Fraction:
         """Exact window center mu_k * N, k in {1,2,3}."""
         return self.mu[k - 1] * self.N

@@ -8,12 +8,7 @@ Base primes up to sqrt(b) are cached process-wide and reused across segments.
 from __future__ import annotations
 
 import math
-import os
-import struct
-import tempfile
 import threading
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -22,10 +17,6 @@ from .errors import MemoryBudgetExceeded
 
 DEFAULT_SEGMENT_ENTRIES = 1 << 22
 MIN_SEGMENT_ENTRIES = 1 << 10
-
-_CACHE_MAGIC = b"ESPR1"
-# cached primes up to this bound are compared against a fresh sieve on load
-_CACHE_CHECK_LIMIT = 1 << 16
 
 _base_lock = threading.Lock()
 _base_primes: np.ndarray = np.array([2, 3, 5, 7, 11, 13], dtype=np.int64)
@@ -53,85 +44,6 @@ def base_primes(limit: int) -> np.ndarray:
             _base_primes = _simple_sieve(max(limit, 2 * _base_limit))
             _base_limit = int(max(limit, 2 * _base_limit))
     return base_primes(limit)
-
-
-def write_base_prime_cache(path: str, limit: int) -> None:
-    """Persist base primes <= limit as magic + count + 64-bit LE deltas.
-
-    The file is written under a temporary name in the same directory and
-    renamed over path, so a concurrent reader sees the old file or the new
-    one, never a partial one.
-    """
-    primes = base_primes(limit)
-    deltas = np.diff(primes, prepend=0).astype("<u8")
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(_CACHE_MAGIC)
-            fh.write(struct.pack("<Q", len(primes)))
-            fh.write(deltas.tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
-def read_base_prime_cache(path: str) -> Optional[np.ndarray]:
-    """Load a base-prime cache; None when absent, malformed or wrong (recompute).
-
-    A well-formed file is trusted only if it starts at 2, strictly increases,
-    and its primes up to _CACHE_CHECK_LIMIT match a fresh sieve.
-    """
-    if not os.path.exists(path):
-        return None
-    with open(path, "rb") as fh:
-        if fh.read(len(_CACHE_MAGIC)) != _CACHE_MAGIC:
-            return None
-        raw = fh.read(8)
-        if len(raw) != 8:
-            return None
-        (count,) = struct.unpack("<Q", raw)
-        if count == 0 or os.fstat(fh.fileno()).st_size != len(_CACHE_MAGIC) + 8 + 8 * count:
-            return None
-        deltas = np.frombuffer(fh.read(8 * count), dtype="<u8")
-        if len(deltas) != count:
-            return None
-    # gaps below 2^32 keep the running sum exact in int64
-    if deltas[0] != 2 or np.any(deltas[1:] == 0) or deltas.max() >= 1 << 32:
-        return None
-    primes = np.cumsum(deltas.astype(np.int64))
-    check = min(int(primes[-1]), _CACHE_CHECK_LIMIT)
-    if not np.array_equal(primes[: np.searchsorted(primes, check, side="right")], _simple_sieve(check)):
-        return None
-    return primes
-
-
-def load_base_prime_cache(path: str) -> bool:
-    """Adopt a cache file as the process-wide base-prime table."""
-    global _base_primes, _base_limit
-    primes = read_base_prime_cache(path)
-    if primes is None or len(primes) == 0:
-        return False
-    with _base_lock:
-        if int(primes[-1]) > _base_limit:
-            _base_primes = primes
-            _base_limit = int(primes[-1])
-    return True
-
-
-@dataclass(frozen=True)
-class PrimeSegment:
-    """Primality flags for [lo, hi], plus the prime-power triples on it.
-
-    prime_powers lists (n, k, p) with n = p^k, k >= 1, which is exactly the
-    data needed to evaluate Lambda(n) = ln p on the segment.
-    """
-
-    lo: int
-    hi: int
-    is_prime: np.ndarray
-    prime_powers: list[tuple[int, int, int]]
 
 
 def _sieve_flags(a: int, b: int) -> np.ndarray:
@@ -201,12 +113,6 @@ def prime_power_triples(a: int, b: int) -> list[tuple[int, int, int]]:
         k += 1
     triples.sort()
     return triples
-
-
-def sieve_segment(a: int, b: int) -> PrimeSegment:
-    return PrimeSegment(
-        lo=a, hi=b, is_prime=_sieve_flags(a, b), prime_powers=prime_power_triples(a, b)
-    )
 
 
 def lambda_segment(a: int, b: int) -> list[tuple[int, float]]:

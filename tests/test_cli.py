@@ -113,9 +113,9 @@ def test_consecutive_calls_match_fresh_processes(capsys):
     # parser would change a later call's output
     calls = [
         ["count", "--N", "1000", "--c", "5/3", "--mu", "1/3,1/3,1/3", "--H", "100",
-         "--method", "brute", "--format", "csv", "--tol", "1e-7"],
+         "--method", "brute", "--format", "csv"],
         ["arcs", "--N", "500", "--c", "3/2", "--mu", "1/3,1/3,1/3", "--H", "100",
-         "--mode", "model"],
+         "--mode", "model", "--tol", "1e-7"],
         ["count", "--N", "12", "--c", "3/2", "--mu", "1/4,1/4,1/2", "--H", "3"],
     ]
     for args in calls:
@@ -205,30 +205,70 @@ def test_runconfig_json_roundtrip():
     assert RunConfig.from_json(cfg2.to_json()) == cfg2
 
 
-def test_prime_cache_env(tmp_path):
-    cache = tmp_path / "primes.bin"
-    env = dict(os.environ, ESTERMANN_CACHE=str(cache))
-    proc = subprocess.run(
-        [sys.executable, "-m", "estermann", "count", "--N", "1000", "--c", "3/2",
-         "--mu", "1/3,1/3,1/3", "--H", "100"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert proc.returncode == 0
-    assert cache.exists()
-    with open(cache, "rb") as fh:
-        assert fh.read(5) == b"ESPR1"
-    # second run loads the cache it just wrote
-    proc2 = subprocess.run(
-        [sys.executable, "-m", "estermann", "count", "--N", "1000", "--c", "3/2",
-         "--mu", "1/3,1/3,1/3", "--H", "100"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert proc2.returncode == 0
-    assert json.loads(proc.stdout)["total"] == json.loads(proc2.stdout)["total"]
+def test_prime_cache_env_writes_nothing(tmp_path):
+    # the variable is not read: no file appears and no output byte changes
+    args = [sys.executable, "-m", "estermann", "count", "--N", "1000", "--c", "3/2",
+            "--mu", "1/3,1/3,1/3", "--H", "100"]
+    env = dict(os.environ, ESTERMANN_CACHE=str(tmp_path / "primes.bin"))
+    env_without = {k: v for k, v in os.environ.items() if k != "ESTERMANN_CACHE"}
+    with_var = subprocess.run(args, capture_output=True, env=env)
+    without = subprocess.run(args, capture_output=True, env=env_without)
+    assert with_var.returncode == without.returncode == 0
+    assert with_var.stdout == without.stdout
+    assert os.listdir(tmp_path) == []
+
+
+INSTANCE = ["--N", "100", "--c", "3/2", "--mu", "1/3,1/3,1/3", "--H", "5"]
+BASE_ARGS = {
+    "count": ["count", *INSTANCE],
+    "arcs": ["arcs", *INSTANCE],
+    "expsum": ["expsum", *INSTANCE, "--kind", "Sc", "--alpha-grid", "0:0.1:3"],
+    "verify": ["verify", "--quick"],
+    "sweep": ["sweep", "--N-list", "10000", "--c", "3/2", "--mu", "1/3,1/3,1/3"],
+}
+FLAG_VALUES = {"--tol": "1e-6", "--threads": "1", "--mem-mb": "2048", "--out": "unused.out",
+               "--format": "json", "--N": "5", "--H": "5", "--meth": "brute", "--mo": "model",
+               "--alpha": "0:0.1:3", "--H-exp": "0.7"}
+
+
+# Flags the command does not read, then abbreviations of flags it does read.
+# sweep --N and --H would be read as --N-list and --H-exponent if argparse
+# accepted abbreviations.
+@pytest.mark.parametrize(
+    "command,flag",
+    [("count", "--tol"), ("arcs", "--format")]
+    + [("expsum", f) for f in ("--tol", "--threads", "--mem-mb", "--format")]
+    + [("verify", f) for f in ("--tol", "--threads", "--mem-mb", "--out", "--format")]
+    + [("sweep", f) for f in ("--N", "--H", "--format")]
+    + [("count", "--meth"), ("arcs", "--mo"), ("expsum", "--alpha"), ("sweep", "--H-exp")],
+)
+def test_unread_or_abbreviated_flag_exit_2(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*BASE_ARGS[command], flag, FLAG_VALUES[flag]])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def _bench_config(command, H):
+    return {
+        "H": H, "H_exponent": 0.8, "N": 2000, "N_list": None, "alpha_grid": None,
+        "c": "5/3", "command": command, "format": "json", "kind": None, "mem_mb": 2048,
+        "method": "fast", "mode": "exact", "mu": "1/4,1/4,1/2", "out": None,
+        "quick": False, "threads": 1, "tol": 1e-06,
+    }
+
+
+@pytest.mark.parametrize(
+    "command,H,extra",
+    [("count", 438, []), ("arcs", 205, ["--mode", "exact", "--tol", "1e-06"])],
+)
+def test_benchmark_argv_accepted(command, H, extra, capsys):
+    # the argv perfbench/workloads.py builds for count-large and arcs-exact
+    args = [command, "--N", "2000", "--c", "5/3", "--mu", "1/4,1/4,1/2", "--H", str(H),
+            *extra, "--threads", "1", "--mem-mb", "2048"]
+    status, out = run_cli(args, capsys)
+    assert status == 0
+    assert json.loads(out)["config"] == _bench_config(command, H)
 
 
 @pytest.mark.parametrize("unbuffered", [False, True])

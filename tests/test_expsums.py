@@ -231,21 +231,6 @@ def test_approx_prime_sum_vs_eval_large_window():
     assert abs(direct - model) <= 0.1 * 2 * H / math.log(N)
 
 
-def test_minor_arc_profile_reported_not_asserted():
-    # decay telemetry: structure is checked, the decay itself is advisory
-    from estermann.expsums import sc_minor_profile
-
-    inst = build_instance(10 ** 5, "3/2", ("1/3", "1/3", "1/3"), 2000)
-    dp = derive_params(inst)
-    prof = sc_minor_profile(dp, inst.c, n_points=200)
-    assert len(prof["alpha"]) == 200
-    assert prof["alpha"][0] == pytest.approx(float(dp.kappa))
-    assert prof["alpha"][-1] == pytest.approx(0.5)
-    assert np.all(np.isfinite(prof["normalized_magnitude"]))
-    assert prof["max"] == prof["normalized_magnitude"].max()
-    print(f"minor-arc profile max |S_c|/H3 = {prof['max']:.4f}")
-
-
 def test_eval_S_c_matches_sinc_on_major_arc():
     # 21-point scan of the desk instance; bound mirrors the acceptance band
     kappa = float(DESK_DP.kappa)
