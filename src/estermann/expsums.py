@@ -14,10 +14,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .arith import RationalExponent, floor_pow
+from .arith import RationalExponent
 from .instance import DerivedParams
 from .quadrature import adaptive_complex, uniform_edges
-from .sieve import lambda_segment, primes_in
 
 _DIRECT_PRODUCT_LIMIT = float(1 << 20)
 _TWO_PI = 2.0 * math.pi
@@ -109,54 +108,21 @@ def sinc(z: float) -> float:
     return math.sin(z) / z
 
 
-def _int_range(x, y) -> tuple[int, int]:
-    """Integers n with x - y < n <= x, as an inclusive [a, b]."""
-    xf, yf = float(x), float(y)
-    b = math.floor(xf)
-    a = math.floor(xf - yf) + 1
-    return a, b
-
-
-def floor_pow_values(x, y, c: RationalExponent) -> np.ndarray:
-    """floor(n^c) for the integers n in (x-y, x], ascending."""
-    a, b = _int_range(x, y)
-    if a > b:
-        return np.zeros(0, dtype=np.int64)
-    return np.array([floor_pow(n, c) for n in range(a, b + 1)], dtype=np.int64)
-
-
-def eval_S_c(
-    alpha: float,
-    x,
-    y,
-    c: RationalExponent,
-    *,
-    values: Optional[np.ndarray] = None,
-    reducer: Optional[PhaseReducer] = None,
-) -> complex:
-    """Sum of e(alpha * floor(n^c)) over integers n in (x-y, x]."""
-    if values is None:
-        values = floor_pow_values(x, y, c)
-    if len(values) == 0:
+def char_sum(alpha: float, points, *, reducer: Optional[PhaseReducer] = None) -> complex:
+    """Sum of e(alpha*v) over the integer points v: floor(n^c) values or primes."""
+    if len(points) == 0:
         return 0j
     r = reducer if reducer is not None else PhaseReducer(alpha)
-    return complex(np.sum(r.char(values)))
+    return complex(np.sum(r.char(points)))
 
 
 def eval_S1(
     alpha: float,
-    x,
-    y,
+    lam: Sequence[tuple[int, float]],
     *,
-    lam: Optional[Sequence[tuple[int, float]]] = None,
     reducer: Optional[PhaseReducer] = None,
 ) -> complex:
-    """Lambda-weighted sum of e(alpha*n) over n in (x-y, x], compensated."""
-    if lam is None:
-        a, b = _int_range(x, y)
-        if a > b:
-            return 0j
-        lam = lambda_segment(max(a, 1), b)
+    """Sum of Lambda(n) e(alpha*n) over the (n, Lambda(n)) pairs, compensated."""
     if not lam:
         return 0j
     n_arr = np.array([n for n, _ in lam], dtype=np.int64)
@@ -166,26 +132,6 @@ def eval_S1(
     re = math.fsum(w_arr * np.cos(theta))
     im = math.fsum(w_arr * np.sin(theta))
     return complex(re, im)
-
-
-def eval_prime_sum(
-    alpha: float,
-    N_k,
-    width,
-    *,
-    primes: Optional[np.ndarray] = None,
-    reducer: Optional[PhaseReducer] = None,
-) -> complex:
-    """Sum of e(alpha*p) over primes p in (N_k - width, N_k]."""
-    if primes is None:
-        a, b = _int_range(N_k, width)
-        if a > b:
-            return 0j
-        primes = primes_in(max(a, 1), b)
-    if len(primes) == 0:
-        return 0j
-    r = reducer if reducer is not None else PhaseReducer(alpha)
-    return complex(np.sum(r.char(np.asarray(primes, dtype=np.int64))))
 
 
 def exp_integral(
@@ -250,7 +196,9 @@ def approx_S_c(
     c: RationalExponent,
     form: str = "sinc",
 ) -> complex:
-    """Main-term approximants of eval_S_c over (N3 - H3, N3] for |alpha| <= 1/2.
+    """Main-term approximants of S_c = char_sum over floor(n^c), N3 - H3 < n <= N3.
+
+    Valid for |alpha| <= 1/2.
 
     "integral": sinc(pi*alpha) * e(-alpha/2) * integral of e(alpha*t^c).
     "sinc":     H3 * sinc(2*pi*alpha*H) * e(alpha*mu3*N).

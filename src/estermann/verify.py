@@ -16,7 +16,7 @@ from typing import Callable
 import mpmath as mp
 import numpy as np
 
-from .arith import RationalExponent, floor_pow, invert_floor_range
+from .arith import RationalExponent, floor_pow, floor_pow_values, invert_floor_range
 from .circle import (
     exact_convolution_count,
     integrate_arcs,
@@ -31,11 +31,9 @@ from .expsums import (
     approx_prime_sum,
     approx_S1,
     approx_S_c,
+    char_sum,
     eval_S1,
-    eval_S_c,
-    eval_prime_sum,
     exp_integral,
-    floor_pow_values,
 )
 from .instance import build_instance, derive_params
 from .sieve import lambda_segment, primes_in, psi
@@ -78,6 +76,25 @@ def floor_pow_float_oracle(n: int, c: RationalExponent) -> int:
         return int(mp.floor(x + mp.mpf(2) ** -200))
 
 
+def scan_floor_range(L: int, R: int, c: RationalExponent):
+    """invert_floor_range's answer by walking n with floor_pow_float_oracle.
+
+    The walk starts a little below the float estimate of L^(1/c), steps down
+    until floor(n^c) < L holds just before it, then steps up through the
+    range.  It shares no integer root with the code it checks.
+    """
+    oracle = floor_pow_float_oracle
+    n = max(1, int(max(L, 1) ** (c.q / c.p)) - 2)
+    while n > 1 and oracle(n - 1, c) >= L:
+        n -= 1
+    while oracle(n, c) < L:
+        n += 1
+    first = n
+    while oracle(n, c) <= R:
+        n += 1
+    return (first, n - 1) if n > first else None
+
+
 def check_floor_pow_oracle(quick: bool) -> Check:
     limit = 2000 if quick else 20000
     for ctext in _EXPONENTS:
@@ -98,17 +115,9 @@ def check_floor_inversion(quick: bool) -> Check:
         L = rng.randint(0, 10 ** 6)
         R = L + rng.randint(0, 10 ** 4)
         res = invert_floor_range(L, R, c)
-        if res is None:
-            continue
-        n_lo, n_hi = res
-        ok = (
-            L <= floor_pow(n_lo, c) <= R
-            and L <= floor_pow(n_hi, c) <= R
-            and (n_lo == 1 or floor_pow(n_lo - 1, c) < L)
-            and floor_pow(n_hi + 1, c) > R
-        )
-        if not ok:
-            return ("floor_inversion", False, f"L={L} R={R} c={c}: bad interval {res}")
+        want = scan_floor_range(L, R, c)
+        if res != want:
+            return ("floor_inversion", False, f"L={L} R={R} c={c}: {res} != scan {want}")
     return ("floor_inversion", True, f"{trials} random ranges round-trip")
 
 
@@ -221,14 +230,12 @@ def check_quadrature_selftest(quick: bool) -> Check:
 
 
 def check_symmetry_periodicity(quick: bool) -> Check:
-    c = RationalExponent(3, 2)
-    x, y = 4000.0, 900.0
-    values = floor_pow_values(x, y, c)
+    values = floor_pow_values(3101, 4000, RationalExponent(3, 2))
     for j in (3, 17, 101):
         M = 1024
-        plus = eval_S_c(j / M, x, y, c, values=values, reducer=PhaseReducer(0, (j, M)))
-        minus = eval_S_c(-j / M, x, y, c, values=values, reducer=PhaseReducer(0, (-j, M)))
-        per = eval_S_c((j + M) / M, x, y, c, values=values, reducer=PhaseReducer(0, (j + M, M)))
+        plus = char_sum(j / M, values, reducer=PhaseReducer(0, (j, M)))
+        minus = char_sum(-j / M, values, reducer=PhaseReducer(0, (-j, M)))
+        per = char_sum((j + M) / M, values, reducer=PhaseReducer(0, (j + M, M)))
         if abs(minus - plus.conjugate()) > 1e-12 * max(abs(plus), 1.0):
             return ("symmetry_periodicity", False, f"conjugate symmetry broken at j={j}")
         if abs(per - plus) > 1e-12 * max(abs(plus), 1.0):
@@ -270,11 +277,11 @@ def check_prime_sum_vs_eval(quick: bool) -> Check:
     N, H = 10 ** 6, 10 ** 4
     inst = build_instance(N, "3/2", ("1/3", "1/3", "1/3"), H)
     dp = derive_params(inst)
-    n1 = float(dp.n1)
-    prim = primes_in(int(n1) - 2 * H + 1, int(n1))
+    top1 = math.floor(inst.mu_N(1) + H)
+    prim = primes_in(top1 - 2 * H + 1, top1)
     alpha = float(dp.kappa) / 3.0
-    direct = eval_prime_sum(alpha, n1, 2.0 * H, primes=prim)
-    model = approx_prime_sum(alpha, n1, H, inst.mu[0], N)
+    direct = char_sum(alpha, prim)
+    model = approx_prime_sum(alpha, float(dp.n1), H, inst.mu[0], N)
     bound = 0.5 * 2 * H / math.log(N)
     return (
         "prime_sum_vs_eval",
@@ -288,7 +295,7 @@ def check_s1_vs_closed_form(quick: bool) -> Check:
     y = math.ceil(x ** 0.7)
     lam = lambda_segment(x - y + 1, x)
     alpha = x / (4 * math.pi * y * y)
-    direct = eval_S1(alpha, float(x), float(y), lam=lam)
+    direct = eval_S1(alpha, lam)
     model = approx_S1(alpha, float(x), float(y))
     rel = abs(direct - model) / y
     return ("s1_vs_closed_form", rel <= 0.1, f"|eval-approx|/y = {rel:.3f} at x={x}")

@@ -12,7 +12,13 @@ import time
 
 import numpy as np
 
-from estermann.arith import RationalExponent, floor_pow, invert_floor_range
+from estermann.arith import (
+    RationalExponent,
+    floor_pow,
+    floor_pow_values,
+    invert_floor_range,
+    pow_range,
+)
 from estermann.circle import (
     exact_convolution_count,
     integrate_arcs,
@@ -20,13 +26,7 @@ from estermann.circle import (
     singular_integral_J,
 )
 from estermann.counting import brute_force_count, fast_count
-from estermann.expsums import (
-    approx_S1,
-    approx_S_c,
-    eval_S1,
-    eval_S_c,
-    floor_pow_values,
-)
+from estermann.expsums import approx_S1, approx_S_c, char_sum, eval_S1
 from estermann.instance import build_instance, derive_params
 from estermann.sieve import lambda_segment, pi_interval, psi
 from estermann.verify import floor_pow_float_oracle, random_instances
@@ -148,7 +148,7 @@ def test_criterion_4_lambda_sum_closed_form():
     worst = 0.0
     for alpha in np.linspace(-a_max, a_max, 21):
         d = abs(
-            eval_S1(float(alpha), float(x), float(y), lam=lam)
+            eval_S1(float(alpha), lam)
             - approx_S1(float(alpha), float(x), float(y))
         )
         worst = max(worst, d / y)
@@ -169,11 +169,12 @@ def test_criterion_5_floor_sum_closed_form():
     dp = derive_params(inst)
     kappa = float(dp.kappa)
     h3 = float(dp.h3)
-    values = floor_pow_values(dp.n3, dp.h3, inst.c)
+    center = inst.mu_N(3)
+    values = floor_pow_values(*pow_range(center - inst.H, center + inst.H, inst.c), inst.c)
     worst = 0.0
     for alpha in np.linspace(-kappa, kappa, 21):
         d = abs(
-            eval_S_c(float(alpha), dp.n3, dp.h3, inst.c, values=values)
+            char_sum(float(alpha), values)
             - approx_S_c(float(alpha), dp, inst.c, "sinc")
         )
         worst = max(worst, d / h3)

@@ -145,15 +145,6 @@ def test_arcs_mirror_symmetry():
     assert abs(rep.I_minor_minus - rep.I_minor_plus.conjugate()) <= 1e-7 * max(scale, 1.0)
 
 
-def test_arcs_threads_deterministic():
-    inst = build_instance(800, "3/2", THIRD, 120)
-    a = integrate_arcs(inst, mode="exact", tol=1e-6, threads=1)
-    b = integrate_arcs(inst, mode="exact", tol=1e-6, threads=4)
-    assert a.I_major == b.I_major
-    assert a.I_minor_plus == b.I_minor_plus
-    assert a.I_minor_minus == b.I_minor_minus
-
-
 def test_arcs_degenerate_kappa():
     # small H pushes kappa = L^2/(2cH) past 1/2: no arc separation
     inst = build_instance(2000, "3/2", THIRD, 35)

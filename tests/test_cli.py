@@ -79,6 +79,37 @@ def test_expsum_all_kinds_run(capsys):
         assert len(out.strip().splitlines()) == 4
 
 
+def test_expsum_sc_excludes_exact_power_lower_edge(capsys):
+    # mu3*N - H = 119 - 92 = 27 = 9^(3/2): n = 9 is outside, so n = 10..35
+    status, out = run_cli(
+        ["expsum", "--N", "357", "--c", "3/2", "--mu", "1/3,1/3,1/3", "--H", "92",
+         "--kind", "Sc", "--alpha-grid", "0:0:1"],
+        capsys,
+    )
+    assert status == 0
+    assert out.splitlines() == ["alpha,re,im,abs", "0,26,0,26"]
+
+
+@pytest.mark.parametrize("grid", ["0:1", "0:1:-3", "0:1:0", "a:1:3", "0:1:2.5"])
+def test_malformed_alpha_grid_exit_2(grid, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["expsum", "--N", "100", "--c", "3/2", "--mu", "1/3,1/3,1/3", "--H", "5",
+              "--kind", "Sc", "--alpha-grid", grid])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --alpha-grid" in err and "start:stop:count" in err
+
+
+def test_negative_alpha_grid_start(capsys):
+    status, out = run_cli(
+        ["expsum", "--N", "100", "--c", "3/2", "--mu", "1/3,1/3,1/3", "--H", "5",
+         "--kind", "Sc", "--alpha-grid=-0.5:0.5:3"],
+        capsys,
+    )
+    assert status == 0
+    assert [line.split(",")[0] for line in out.splitlines()] == ["alpha", "-0.5", "0", "0.5"]
+
+
 def test_arcs_command(capsys):
     status, out = run_cli(
         ["arcs", "--N", "500", "--c", "3/2", "--mu", "1/3,1/3,1/3", "--H", "100"],
@@ -239,7 +270,7 @@ FLAG_VALUES = {"--tol": "1e-6", "--threads": "1", "--mem-mb": "2048", "--out": "
     [("count", "--tol"), ("arcs", "--format")]
     + [("expsum", f) for f in ("--tol", "--threads", "--mem-mb", "--format")]
     + [("verify", f) for f in ("--tol", "--threads", "--mem-mb", "--out", "--format")]
-    + [("sweep", f) for f in ("--N", "--H", "--format")]
+    + [("sweep", f) for f in ("--N", "--H", "--threads", "--format")]
     + [("count", "--meth"), ("arcs", "--mo"), ("expsum", "--alpha"), ("sweep", "--H-exp")],
 )
 def test_unread_or_abbreviated_flag_exit_2(command, flag, capsys):

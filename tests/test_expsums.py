@@ -2,24 +2,28 @@ import math
 import random
 from fractions import Fraction
 
+import io
+from contextlib import redirect_stdout
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from estermann.arith import RationalExponent
+from estermann.arith import RationalExponent, floor_pow_values, pow_range
 from estermann.errors import ToleranceNotMet
 from estermann.expsums import (
     PhaseReducer,
     approx_prime_sum,
     approx_S1,
     approx_S_c,
-    eval_prime_sum,
+    char_sum,
     eval_S1,
-    eval_S_c,
     exp_integral,
-    floor_pow_values,
     oscillatory_integral,
     sinc,
 )
+from estermann.cli import main
 from estermann.instance import build_instance, derive_params
 from estermann.sieve import lambda_segment, primes_in
 
@@ -68,52 +72,85 @@ def test_sinc_series_branch():
 
 
 def test_eval_S_c_hand_values():
-    assert eval_S_c(0.0, 5, 3, C32) == pytest.approx(3 + 0j)
-    assert eval_S_c(1.0, 5, 3, C32) == pytest.approx(3 + 0j, abs=1e-12)
+    values = floor_pow_values(3, 5, C32)
+    assert char_sum(0.0, values) == pytest.approx(3 + 0j)
+    assert char_sum(1.0, values) == pytest.approx(3 + 0j, abs=1e-12)
     # n = 3,4,5 -> v = 5,8,11: e(5/2)+e(4)+e(11/2) = -1
-    assert eval_S_c(0.5, 5, 3, C32) == pytest.approx(-1 + 0j, abs=1e-12)
+    assert char_sum(0.5, values) == pytest.approx(-1 + 0j, abs=1e-12)
 
 
 def test_eval_S1_hand_values():
-    assert eval_S1(0.0, 4, 2) == pytest.approx(math.log(2) + math.log(3), abs=1e-12)
-    got = eval_S1(0.5, 4, 2)
+    assert eval_S1(0.0, lambda_segment(3, 4)) == pytest.approx(
+        math.log(2) + math.log(3), abs=1e-12
+    )
+    got = eval_S1(0.5, lambda_segment(3, 4))
     assert got == pytest.approx(math.log(2) - math.log(3), abs=1e-12)
-    x = 10
-    assert eval_S1(0.0, x, 9).real == pytest.approx(
+    assert eval_S1(0.0, lambda_segment(2, 10)).real == pytest.approx(
         3 * math.log(2) + 2 * math.log(3) + math.log(5) + math.log(7), abs=1e-12
     )
 
 
 def test_eval_prime_sum_hand_values():
-    assert eval_prime_sum(0.0, 6, 4) == pytest.approx(2 + 0j)
-    assert eval_prime_sum(0.5, 6, 4) == pytest.approx(-2 + 0j, abs=1e-12)
+    assert char_sum(0.0, primes_in(3, 6)) == pytest.approx(2 + 0j)
+    assert char_sum(0.5, primes_in(3, 6)) == pytest.approx(-2 + 0j, abs=1e-12)
 
 
 def test_magnitude_bounds():
-    values = floor_pow_values(4000, 900, C32)
+    values = floor_pow_values(3101, 4000, C32)
     lam = lambda_segment(3101, 4000)
+    primes = primes_in(3101, 4000)
     psi_mass = math.fsum(w for _, w in lam)
     for alpha in (0.01, 0.1, 0.37, 0.499):
-        assert abs(eval_S_c(alpha, 4000, 900, C32, values=values)) <= len(values) + 1e-9
-        assert abs(eval_S1(alpha, 4000, 900, lam=lam)) <= psi_mass + 1e-9
-        assert abs(eval_prime_sum(alpha, 4000, 900)) <= len(primes_in(3101, 4000)) + 1e-9
+        assert abs(char_sum(alpha, values)) <= len(values) + 1e-9
+        assert abs(eval_S1(alpha, lam)) <= psi_mass + 1e-9
+        assert abs(char_sum(alpha, primes)) <= len(primes) + 1e-9
 
 
 def test_conjugate_symmetry_float_path():
-    values = floor_pow_values(4000, 900, C32)
+    values = floor_pow_values(3101, 4000, C32)
     for alpha in (0.013, 0.21, 0.49):
-        plus = eval_S_c(alpha, 4000, 900, C32, values=values)
-        minus = eval_S_c(-alpha, 4000, 900, C32, values=values)
+        plus = char_sum(alpha, values)
+        minus = char_sum(-alpha, values)
         assert abs(minus - plus.conjugate()) <= 1e-12 * max(abs(plus), 1.0)
 
 
 def test_periodicity_rational_grid_exact():
-    values = floor_pow_values(4000, 900, C32)
+    values = floor_pow_values(3101, 4000, C32)
     M = 2048
     for j in (5, 333, 1023):
-        a = eval_S_c(0, 4000, 900, C32, values=values, reducer=PhaseReducer(0, (j, M)))
-        b = eval_S_c(0, 4000, 900, C32, values=values, reducer=PhaseReducer(0, (j + M, M)))
+        a = char_sum(0, values, reducer=PhaseReducer(0, (j, M)))
+        b = char_sum(0, values, reducer=PhaseReducer(0, (j + M, M)))
         assert a == b  # bit-identical: reduction is exact integer arithmetic
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    k=st.integers(1, 60),
+    H=st.integers(1, 5000),
+    mu=st.sampled_from(("1/3,1/3,1/3", "1/4,1/4,1/2", "1/6,1/2,1/3")),
+)
+@example(k=3, H=92, mu="1/3,1/3,1/3")  # mu3*N - H = 27 = 9^(3/2)
+def test_sc_range_at_perfect_cube_lower_edge(k, H, mu):
+    # mu3*N - H = k^3 = (k^2)^(3/2): the S_c points are n = k^2 + 1, ...,
+    # up to the largest n with n^3 <= (mu3*N + H)^2, so at alpha = 0 the
+    # sum is that n minus k^2
+    mu3 = Fraction(mu.rsplit(",", 1)[1])
+    center = k ** 3 + H
+    N = center / mu3
+    if N.denominator != 1 or H > min(Fraction(m) for m in mu.split(",")) * N:
+        return
+    top = (center + H) ** 2
+    last = int(round(top ** (1 / 3)))
+    while last ** 3 > top:
+        last -= 1
+    while (last + 1) ** 3 <= top:
+        last += 1
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        status = main(["expsum", "--N", str(N.numerator), "--c", "3/2", "--mu", mu,
+                       "--H", str(H), "--kind", "Sc", "--alpha-grid", "0:0:1"])
+    assert status == 0
+    assert buf.getvalue().splitlines()[1] == f"0,{last - k * k},0,{last - k * k}"
 
 
 # ---------------------------------------------------------------- quadrature
@@ -202,7 +239,7 @@ def test_approx_S1_vs_eval_inside_range():
     y = math.ceil(x ** 0.7)
     lam = lambda_segment(x - y + 1, x)
     alpha = x / (4 * math.pi * y * y)
-    direct = eval_S1(alpha, float(x), float(y), lam=lam)
+    direct = eval_S1(alpha, lam)
     model = approx_S1(alpha, float(x), float(y))
     assert abs(direct - model) / y <= 0.1
 
@@ -226,7 +263,7 @@ def test_approx_prime_sum_vs_eval_large_window():
     n1 = float(dp.n1)
     prim = primes_in(int(n1) - 2 * H + 1, int(n1))
     alpha = float(dp.kappa) / 3.0
-    direct = eval_prime_sum(alpha, n1, 2.0 * H, primes=prim)
+    direct = char_sum(alpha, prim)
     model = approx_prime_sum(alpha, n1, H, Fraction(1, 3), N)
     assert abs(direct - model) <= 0.1 * 2 * H / math.log(N)
 
@@ -235,11 +272,12 @@ def test_eval_S_c_matches_sinc_on_major_arc():
     # 21-point scan of the desk instance; bound mirrors the acceptance band
     kappa = float(DESK_DP.kappa)
     h3 = float(DESK_DP.h3)
-    values = floor_pow_values(DESK_DP.n3, DESK_DP.h3, DESK.c)
+    center = DESK.mu_N(3)
+    values = floor_pow_values(*pow_range(center - DESK.H, center + DESK.H, DESK.c), DESK.c)
     worst = 0.0
     for alpha in np.linspace(-kappa, kappa, 21):
         d = abs(
-            eval_S_c(float(alpha), DESK_DP.n3, DESK_DP.h3, DESK.c, values=values)
+            char_sum(float(alpha), values)
             - approx_S_c(float(alpha), DESK_DP, DESK.c, "sinc")
         )
         worst = max(worst, d / h3)

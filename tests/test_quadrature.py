@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from estermann.circle import _PANEL_ORDER, _PERIODS_PER_PANEL, ExactIntegrand
 from estermann.errors import ToleranceNotMet
-from estermann.expsums import PhaseReducer, cis, eval_prime_sum, eval_S_c
+from estermann.expsums import PhaseReducer, char_sum, cis
 from estermann import quadrature
 from estermann.instance import build_instance
 from estermann.quadrature import adaptive_complex, leggauss, uniform_edges
@@ -99,16 +99,14 @@ def test_adaptive_complex_matches_per_panel_algorithm():
     assert batched[1] == pytest.approx(reference[1], rel=1e-9)
 
 
-def test_adaptive_complex_threads_and_slices_bit_identical(monkeypatch):
+def test_adaptive_complex_slices_bit_identical(monkeypatch):
     f = lambda alpha: np.exp(2j * np.pi * 91 * alpha) * np.cos(7 * alpha)
     edges = uniform_edges(-0.5, 0.5, 5)
     one = adaptive_complex(f, edges, 1e-10, order=16)
-    for threads in (2, 3, 8):
-        assert adaptive_complex(f, edges, 1e-10, order=16, threads=threads) == one
     # levels cut into slices of 2 and 1 panels
     for nodes in (100, 1):
         monkeypatch.setattr(quadrature, "_LEVEL_NODES", nodes)
-        assert adaptive_complex(f, edges, 1e-10, order=16, threads=2) == one
+        assert adaptive_complex(f, edges, 1e-10, order=16) == one
 
 
 def test_adaptive_complex_budget_checked_before_evaluating():
@@ -166,9 +164,9 @@ def test_batched_integrand_matches_per_node_sums(N, H):
     batched = f(alphas)
     ref = np.array(
         [
-            eval_prime_sum(a, 0, 0, primes=f.p1)
-            * eval_prime_sum(a, 0, 0, primes=f.p2)
-            * eval_S_c(a, 0, 0, f.inst.c, values=f.values)
+            char_sum(a, f.p1)
+            * char_sum(a, f.p2)
+            * char_sum(a, f.values)
             * cis(PhaseReducer(a).frac_int(N)).conjugate()
             for a in alphas.tolist()
         ]
