@@ -43,7 +43,6 @@ from .expsums import (
     approx_S_c,
     char_sum,
     eval_S1,
-    oscillatory_integral,
 )
 from .instance import (
     DerivedParams,
@@ -94,7 +93,6 @@ __all__ = [
     "lambda_segment",
     "main_term_value",
     "model_major_value",
-    "oscillatory_integral",
     "pi_interval",
     "pow_range",
     "primes_in",

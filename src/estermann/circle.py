@@ -267,17 +267,17 @@ def main_term_value(inst: ProblemInstance) -> float:
     return 3.0 * inst.H ** 2 / (cf * mu3N ** (1.0 - 1.0 / cf) * L * L)
 
 
-def _graded_edges(a: float, b: float, base: float, H: int, cap: float = 32.0) -> list[float]:
+def _graded_edges(a: float, b: float, base: float, H: int) -> list[float]:
     """Edges on [a, b] with width growing like 1 + 2H*(x - a) away from a.
 
     Matches the sinc oscillation scale 1/(2H) near the arc boundary and
-    coarsens (capped) where the envelope has decayed; the adaptive pass
-    re-splits any panel the grading left too wide.
+    coarsens (capped at 32 times the base) where the envelope has decayed;
+    the adaptive pass re-splits any panel the grading left too wide.
     """
     edges = [a]
     x = a
     while x < b:
-        w = base * min(1.0 + 2.0 * H * (x - a), cap)
+        w = base * min(1.0 + 2.0 * H * (x - a), 32.0)
         x = min(b, x + w)
         edges.append(x)
     return edges
@@ -366,14 +366,14 @@ def integrate_arcs(
     )
 
 
-def sine_power_integral(n: int, m: int = 1) -> float:
-    """Closed form of the improper integral of sin(m u)^n / u^n over [0, inf)."""
+def sine_power_integral(n: int) -> float:
+    """Closed form of the improper integral of sin(u)^n / u^n over [0, inf)."""
     total = 0
     for j in range((n + 1) // 2):
         if n - 2 * j <= 0:
             break
         total += (-1) ** j * math.comb(n, j) * (n - 2 * j) ** (n - 1)
-    return math.pi * m ** (n - 1) * total / (2 ** n * math.factorial(n - 1))
+    return math.pi * total / (2 ** n * math.factorial(n - 1))
 
 
 def sin3_integral(T: float) -> float:

@@ -37,7 +37,7 @@ def fmt_real(x: float) -> str:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved invocation; round-trips losslessly through JSON."""
+    """Resolved invocation; embedded in every JSON artifact."""
 
     command: str
     N: Optional[int] = None
@@ -60,10 +60,6 @@ class RunConfig:
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "RunConfig":
-        return cls(**json.loads(text))
-
     @property
     def mem_entries(self) -> int:
         """--mem-mb in 8-byte entries, the widest the budgeted arrays hold."""
@@ -78,6 +74,18 @@ def _positive_int(text: str) -> int:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _finite_float(text: str, *, positive: bool = False) -> float:
+    """argparse type for --H-exponent, and with positive=True for --tol."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value) or (positive and value <= 0):
+        kind = "a positive finite number" if positive else "a finite number"
+        raise argparse.ArgumentTypeError(f"expected {kind}, got {text!r}")
     return value
 
 
@@ -135,13 +143,13 @@ def _alpha_grid(text: str) -> str:
     """argparse type for --alpha-grid: checks start:stop:count, returns the text."""
     try:
         start, stop, count = text.split(":")
-        float(start), float(stop)
-        ok = int(count) >= 1
+        ok = math.isfinite(float(start)) and math.isfinite(float(stop)) and int(count) >= 1
     except ValueError:
         ok = False
     if not ok:
         raise argparse.ArgumentTypeError(
-            f"expected start:stop:count (two numbers and a count of at least 1), got {text!r}"
+            "expected start:stop:count (two finite numbers and a count of at least 1), "
+            f"got {text!r}"
         )
     return text
 
@@ -175,9 +183,9 @@ def _cmd_expsum(cfg: RunConfig) -> int:
     elif kind == "Sc_integral":
         f = lambda a: approx_S_c(a, dp, inst.c, form="integral")
     elif kind == "S1_approx":
-        f = lambda a: approx_S1(a, float(dp.n1), 2.0 * inst.H)
+        f = lambda a: approx_S1(a, inst.mu_N(1) + inst.H, 2 * inst.H)
     else:  # prime_approx
-        f = lambda a: approx_prime_sum(a, float(dp.n1), inst.H, inst.mu[0], inst.N)
+        f = lambda a: approx_prime_sum(a, inst.H, inst.mu[0], inst.N)
 
     lines = ["alpha,re,im,abs"]
     for a in grid:
@@ -198,7 +206,10 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     rows = ["N,c,H,kappa,exact_total,main_term,ratio,I_major_re,I_minor_abs"]
     for n_text in cfg.N_list.split(","):
         N = int(n_text)
-        H = math.ceil(N ** cfg.H_exponent)
+        try:
+            H = math.ceil(N ** cfg.H_exponent)
+        except ArithmeticError:  # overflow, or 0 to a negative power
+            raise ValueError(f"H = N^{cfg.H_exponent} (--H-exponent) fails at N={N}") from None
         mu = tuple(parse_rational(p) for p in cfg.mu.split(","))
         inst = build_instance(N, cfg.c, mu, H)
         report = integrate_arcs(
@@ -245,7 +256,7 @@ _FLAGS = {
     "--c": dict(type=str, required=True, help="exponent as p/q, e.g. 3/2"),
     "--mu": dict(type=str, required=True, help="three rationals, e.g. 1/3,1/3,1/3"),
     "--H": dict(type=int, required=True, help="window half-width"),
-    "--tol": dict(type=float),
+    "--tol": dict(type=functools.partial(_finite_float, positive=True)),
     "--threads": dict(type=_positive_int),
     "--mem-mb": dict(dest="mem_mb", type=_positive_int,
                      help="memory budget for window arrays, in MB"),
@@ -294,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = add_command("sweep", "ratio exact/main-term over an N grid",
                           "--c", "--mu", "--tol", "--mem-mb", "--out")
     p_sweep.add_argument("--N-list", dest="N_list", type=str, required=True)
-    p_sweep.add_argument("--H-exponent", dest="H_exponent", type=float)
+    p_sweep.add_argument("--H-exponent", dest="H_exponent", type=_finite_float)
 
     return parser
 

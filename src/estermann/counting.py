@@ -43,18 +43,6 @@ class CountBreakdown:
             }
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "CountBreakdown":
-        doc = json.loads(text)
-        n_range = None
-        if doc["n_lo"] is not None:
-            n_range = (doc["n_lo"], doc["n_hi"])
-        return cls(
-            total=doc["total"],
-            per_n=tuple(tuple(row) for row in doc["per_n"]),
-            n_range=n_range,
-        )
-
     def to_csv(self) -> str:
         out = io.StringIO()
         out.write("n,v,r\n")
@@ -83,7 +71,7 @@ def admissible_floor_values(inst: ProblemInstance):
     return rng, floor_pow_values(*rng, inst.c)
 
 
-def _breakdown(inst, n_range, values, r_of_v) -> CountBreakdown:
+def _breakdown(n_range, values, r_of_v) -> CountBreakdown:
     per_n = []
     total = 0
     n_lo = n_range[0] if n_range else 0
@@ -111,7 +99,7 @@ def brute_force_count(
     for p1 in p1s:
         for p2 in p2s:
             pair_sums[p1 + p2] += 1
-    return _breakdown(inst, n_range, values, lambda v: pair_sums[inst.N - v])
+    return _breakdown(n_range, values, lambda v: pair_sums[inst.N - v])
 
 
 def fast_count(
@@ -125,7 +113,7 @@ def fast_count(
     p1 = window_primes(inst, 1)
     n_range, values = admissible_floor_values(inst)
     if span == 0 or len(p1) == 0 or len(values) == 0:
-        return _breakdown(inst, n_range, values, lambda v: 0)
+        return _breakdown(n_range, values, lambda v: 0)
     is_p2 = np.zeros(span, dtype=bool)
     p2 = window_primes(inst, 2)
     is_p2[p2 - lo2] = True
@@ -137,4 +125,4 @@ def fast_count(
             return 0
         return int(np.count_nonzero(is_p2[targets[ok] - lo2]))
 
-    return _breakdown(inst, n_range, values, pairs_for)
+    return _breakdown(n_range, values, pairs_for)

@@ -1,9 +1,12 @@
 """Short exponential sums over primes and floor(n^c), and their closed forms.
 
-e(z) denotes exp(2*pi*i*z) throughout.  All sum phases alpha*v with integer v
-pass through PhaseReducer, which reduces mod 1 exactly; the closed-form
-approximants are the sinc-shaped main terms those sums develop for alpha near
-zero.
+e(z) denotes exp(2*pi*i*z) throughout.  One rule decides every phase: a phase
+alpha*x whose argument x can be large is reduced mod 1 exactly by
+PhaseReducer, from an exact integer or rational x.  The direct sums reduce
+each integer point; the closed-form approximants are the sinc-shaped main
+terms those sums develop for alpha near zero, and each reduces its phase at
+the exact centre of its window, so only the offset from that centre, bounded
+by the window half-width, is multiplied in double.
 """
 
 from __future__ import annotations
@@ -70,16 +73,6 @@ class PhaseReducer:
             return prod.astype(np.float64) / float(den)
         return np.array([((num * int(x)) % den) / den for x in v], dtype=np.float64)
 
-    def frac_int(self, v: int) -> float:
-        if self.alpha_rational is not None:
-            j, M = self.alpha_rational
-            return ((j * v) % M) / M
-        a = self.alpha
-        if abs(a) * abs(v) <= _DIRECT_PRODUCT_LIMIT:
-            return (a * v) % 1.0
-        num, den = a.as_integer_ratio()
-        return ((num * v) % den) / den
-
     def frac_fraction(self, x: Fraction) -> float:
         """frac(alpha * x) for an exact rational x."""
         if self.alpha_rational is not None:
@@ -136,58 +129,40 @@ def eval_S1(
 
 def exp_integral(
     alpha: float,
-    u0: float,
-    u1: float,
+    u0: Fraction,
+    u1: Fraction,
     amp_power: float,
     *,
     abs_tol: Optional[float] = None,
-    order: int = 24,
 ) -> complex:
-    """integral of u^amp_power * e(alpha*u) du over [u0, u1].
+    """integral of u^amp_power * e(alpha*u) du over [u0, u1], for exact rational ends.
 
-    The phase is linear in u, so panels of at most one oscillation with a
-    24-node rule resolve it to roundoff; the amplitude u^amp_power is smooth
-    because u0 > 0.
+    With m the exact midpoint and w the half-width, this is e(alpha*m) times
+    the integral of (m + v)^amp_power * e(alpha*v) over |v| <= w: the phase
+    at m is reduced exactly, and only alpha*v is formed in double.  The phase
+    is linear in v, so panels of at most one oscillation with a 24-node rule
+    resolve it to roundoff; the amplitude is smooth because u0 > 0 whenever
+    amp_power is non-zero.
     """
+    u0, u1 = Fraction(u0), Fraction(u1)
+    if amp_power != 0.0 and u0 <= 0:
+        raise ValueError("exp_integral requires u0 > 0 for a non-zero amp_power")
     if u1 <= u0:
         return 0j
+    width = float(u1 - u0)
     if abs_tol is None:
-        abs_tol = 1e-10 * (u1 - u0)
-    oscillations = abs(alpha) * (u1 - u0)
-    n_panels = max(4, int(math.ceil(oscillations)) + 1)
+        abs_tol = 1e-10 * width
+    n_panels = max(4, int(math.ceil(abs(alpha) * width)) + 1)
+    m = (u0 + u1) / 2
+    mf = float(m)
 
-    def f_batch(u: np.ndarray) -> np.ndarray:
-        amp = u ** amp_power if amp_power != 0.0 else 1.0
-        return amp * np.exp(2j * np.pi * alpha * u)
+    def f_batch(v: np.ndarray) -> np.ndarray:
+        amp = (mf + v) ** amp_power if amp_power != 0.0 else 1.0
+        return amp * np.exp(2j * np.pi * alpha * v)
 
-    value, _err, _n = adaptive_complex(
-        f_batch, uniform_edges(u0, u1, n_panels), abs_tol, order=order
-    )
-    return value
-
-
-def oscillatory_integral(
-    alpha: float,
-    a: float,
-    b: float,
-    c: RationalExponent,
-    *,
-    abs_tol: Optional[float] = None,
-) -> complex:
-    """integral of e(alpha * t^c) dt over [a, b], for 0 < a < b.
-
-    Computed after the monotone substitution u = t^c, which makes the phase
-    linear and leaves the smooth amplitude u^(1/c - 1) / c.
-    """
-    if not (0 < a < b):
-        raise ValueError("oscillatory_integral requires 0 < a < b")
-    if alpha == 0.0:
-        return complex(b - a)
-    if abs_tol is None:
-        abs_tol = 1e-10 * (b - a)
-    inv_c = c.q / c.p
-    u0, u1 = a ** float(c), b ** float(c)
-    return inv_c * exp_integral(alpha, u0, u1, inv_c - 1.0, abs_tol=abs_tol / inv_c)
+    edges = uniform_edges(-0.5 * width, 0.5 * width, n_panels)
+    value, _err, _n = adaptive_complex(f_batch, edges, abs_tol)
+    return cis(PhaseReducer(alpha).frac_fraction(m)) * value
 
 
 def approx_S_c(
@@ -200,7 +175,9 @@ def approx_S_c(
 
     Valid for |alpha| <= 1/2.
 
-    "integral": sinc(pi*alpha) * e(-alpha/2) * integral of e(alpha*t^c).
+    "integral": sinc(pi*alpha) * e(-alpha/2) * integral of e(alpha*t^c) dt
+                over (N3 - H3, N3], taken as (1/c) * integral of
+                u^(1/c - 1) e(alpha*u) du over mu3*N - H < u <= mu3*N + H.
     "sinc":     H3 * sinc(2*pi*alpha*H) * e(alpha*mu3*N).
     Both reduce to H3 at alpha = 0.
     """
@@ -212,21 +189,25 @@ def approx_S_c(
         phase = r.frac_fraction(dp.mu3_N)
         return h3 * sinc(_TWO_PI * alpha * dp.H) * cis(phase)
     if form == "integral":
-        n3 = float(dp.n3)
-        integral = oscillatory_integral(alpha, n3 - h3, n3, c)
+        inv_c = c.q / c.p
+        # the tolerance is 1e-10 * H3 on the integral in t
+        integral = inv_c * exp_integral(
+            alpha, dp.mu3_N - dp.H, dp.mu3_N + dp.H, inv_c - 1.0, abs_tol=1e-10 * h3 / inv_c
+        )
         return sinc(math.pi * alpha) * cis((-0.5 * alpha) % 1.0) * integral
     raise ValueError(f"unknown form {form!r}")
 
 
-def approx_S1(alpha: float, x: float, y: float) -> complex:
-    """Closed form y * sinc(pi*alpha*y) * e(alpha*(x - y/2)); y at alpha = 0."""
+def approx_S1(alpha: float, x: Fraction, y: Fraction) -> complex:
+    """Closed form y * sinc(pi*alpha*y) * e(alpha*(x - y/2)) for exact x, y; y at alpha = 0."""
+    x, y = Fraction(x), Fraction(y)
     if alpha == 0.0:
         return complex(y)
-    amp = y * sinc(math.pi * alpha * y)
-    return amp * cis((alpha * (x - 0.5 * y)) % 1.0)
+    amp = float(y) * sinc(math.pi * alpha * float(y))
+    return amp * cis(PhaseReducer(alpha).frac_fraction(x - y / 2))
 
 
-def approx_prime_sum(alpha: float, N_k: float, H: float, mu_k: Fraction, N: int) -> complex:
+def approx_prime_sum(alpha: float, H: float, mu_k: Fraction, N: int) -> complex:
     """Closed form of the prime-window sum: 2H*sinc(2*pi*alpha*H)*e(alpha*mu_k*N)/ln(mu_k*N)."""
     log_muN = math.log(mu_k * N)
     if alpha == 0.0:

@@ -17,7 +17,7 @@ from typing import Optional, Union
 
 import mpmath as mp
 
-from .arith import RationalExponent, format_rational, parse_rational
+from .arith import RationalExponent, parse_rational
 from .errors import MuSumNotOne, WindowTooWide
 
 # Significand bits for derived reals.  Phase products alpha*floor(n^c) reach
@@ -69,20 +69,6 @@ class ProblemInstance:
         mu = self.mu[k - 1]
         return abs(mu.denominator * m - mu.numerator * self.N) <= mu.denominator * self.H
 
-    def to_json(self) -> str:
-        doc = {
-            "N": self.N,
-            "c": str(self.c),
-            "mu": [format_rational(m) for m in self.mu],
-            "H": self.H,
-        }
-        return json.dumps(doc)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ProblemInstance":
-        doc = json.loads(text)
-        return build_instance(doc["N"], doc["c"], tuple(doc["mu"]), doc["H"])
-
 
 def build_instance(N: int, c, mu, H: int) -> ProblemInstance:
     """Validate and construct an instance; mu is never silently normalized."""
@@ -110,8 +96,7 @@ class DerivedParams:
     """Derived window parameters at >= 64-bit-significand precision.
 
     n3 satisfies n3^c = mu3*N + H and h3 = n3 - (mu3*N - H)^(1/c), so n runs
-    over (n3 - h3, n3].  h3_leading is the leading-order expansion
-    2H/(c*(mu3*N)^(1-1/c)).
+    over (n3 - h3, n3].
     """
 
     inst: ProblemInstance
@@ -120,8 +105,6 @@ class DerivedParams:
     n3: mp.mpf
     h3: mp.mpf
     kappa: mp.mpf
-    windows: tuple[tuple[int, int], tuple[int, int], tuple[int, int]]
-    h3_leading: mp.mpf
 
     @property
     def H(self) -> int:
@@ -139,7 +122,7 @@ def _root_c(x: Fraction, c: RationalExponent) -> mp.mpf:
 
 
 def derive_params(inst: ProblemInstance) -> DerivedParams:
-    """Compute N1, N2, N3, H3, kappa and the three integer windows."""
+    """Compute N1, N2, N3, H3 and kappa."""
     with mp.workprec(WORKING_PRECISION):
         N, H, c = inst.N, inst.H, inst.c
         n1 = mp.mpf((inst.mu_N(1) + H).numerator) / mp.mpf((inst.mu_N(1) + H).denominator)
@@ -148,23 +131,7 @@ def derive_params(inst: ProblemInstance) -> DerivedParams:
         h3 = n3 - _root_c(inst.mu_N(3) - H, c)  # mu3*N - H > 0 by construction
         L = mp.log(N)
         kappa = L * L * c.q / (2 * c.p * H) if H > 0 else mp.inf
-
-        mu3N = inst.mu_N(3)
-        mu3N_mp = mp.mpf(mu3N.numerator) / mp.mpf(mu3N.denominator)
-        cf = mp.mpf(c.p) / mp.mpf(c.q)
-        h3_leading = 2 * H / (cf * mu3N_mp ** (1 - 1 / cf))
-
-        windows = (inst.window(1), inst.window(2), inst.window(3))
-        return DerivedParams(
-            inst=inst,
-            n1=n1,
-            n2=n2,
-            n3=n3,
-            h3=h3,
-            kappa=kappa,
-            windows=windows,
-            h3_leading=h3_leading,
-        )
+        return DerivedParams(inst=inst, n1=n1, n2=n2, n3=n3, h3=h3, kappa=kappa)
 
 
 @dataclass(frozen=True)

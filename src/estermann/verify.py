@@ -198,8 +198,8 @@ def check_sinc_limits(quick: bool) -> Check:
     z0 = approx_S_c(0.0, dp, inst.c, form="sinc")
     zi = approx_S_c(0.0, dp, inst.c, form="integral")
     first_zero = approx_S_c(1.0 / (2 * inst.H), dp, inst.c, form="sinc")
-    s1_zero = approx_S1(1.0 / 1000.0, 10 ** 6, 1000.0)
-    p0 = approx_prime_sum(0.0, float(dp.n1), inst.H, inst.mu[0], inst.N)
+    s1_zero = approx_S1(1.0 / 1000.0, 10 ** 6, 1000)
+    p0 = approx_prime_sum(0.0, inst.H, inst.mu[0], inst.N)
     ok = (
         abs(z0 - h3) <= 1e-12 * h3
         and abs(zi - h3) <= 1e-12 * h3
@@ -281,7 +281,7 @@ def check_prime_sum_vs_eval(quick: bool) -> Check:
     prim = primes_in(top1 - 2 * H + 1, top1)
     alpha = float(dp.kappa) / 3.0
     direct = char_sum(alpha, prim)
-    model = approx_prime_sum(alpha, float(dp.n1), H, inst.mu[0], N)
+    model = approx_prime_sum(alpha, H, inst.mu[0], N)
     bound = 0.5 * 2 * H / math.log(N)
     return (
         "prime_sum_vs_eval",
@@ -296,7 +296,7 @@ def check_s1_vs_closed_form(quick: bool) -> Check:
     lam = lambda_segment(x - y + 1, x)
     alpha = x / (4 * math.pi * y * y)
     direct = eval_S1(alpha, lam)
-    model = approx_S1(alpha, float(x), float(y))
+    model = approx_S1(alpha, x, y)
     rel = abs(direct - model) / y
     return ("s1_vs_closed_form", rel <= 0.1, f"|eval-approx|/y = {rel:.3f} at x={x}")
 

@@ -23,10 +23,13 @@ from estermann.circle import (
     sine_power_integral,
     singular_integral_J,
 )
+from estermann.arith import floor_pow
 from estermann.counting import brute_force_count, fast_count, window_primes
 from estermann.errors import MemoryBudgetExceeded
+from estermann.expsums import PhaseReducer, char_sum, cis
 from estermann.instance import build_instance, derive_params
 from estermann.quadrature import adaptive_complex, uniform_edges
+from estermann.sieve import primes_in
 from estermann.verify import random_instances
 
 THIRD = ("1/3", "1/3", "1/3")
@@ -197,6 +200,58 @@ def test_arcs_mirror_vs_negative_half_quadrature(N, c, mu, h_frac, mode):
         assert rep.I_minor_minus == rep.I_minor_plus == 0
 
 
+# Small instances for the direct-sum referee: one with kappa >= 1/2 and one
+# with c = 5/2 among them.
+REFEREE_CASES = [
+    (500, "3/2", THIRD, 100),
+    (200, "3/2", THIRD, 10),  # kappa = (ln 200)^2 / 30 > 1/2
+    (2000, "5/2", ("1/4", "1/4", "1/2"), 60),
+    (1000, "7/4", ("1/6", "1/3", "1/2"), 40),
+    (3000, "5/3", THIRD, 80),
+    (800, "3/2", ("1/4", "1/2", "1/4"), 30),
+]
+
+
+@pytest.mark.parametrize("N, c, mu, H", REFEREE_CASES)
+def test_exact_arcs_vs_direct_sum_referee(N, c, mu, H):
+    # F(alpha)e(-alpha N) from the expsums direct sums over window members
+    # found by trial (primes_in and floor_pow over every n, each kept by the
+    # exact window test), with e(-alpha N) from PhaseReducer.  Each arc,
+    # split at kappa = (ln N)^2/(2cH) taken from its definition, is
+    # integrated over its whole signed extent on one-period panels.
+    inst = build_instance(N, c, mu, H)
+    p1, p2 = ([int(p) for p in primes_in(2, N) if inst.in_window(k, int(p))] for k in (1, 2))
+    values, n = [], 1
+    while (v := floor_pow(n, inst.c)) <= inst.mu_N(3) + H:
+        if inst.in_window(3, v):
+            values.append(v)
+        n += 1
+    p1, p2, values = (np.array(w, dtype=np.int64) for w in (p1, p2, values))
+
+    def F(alphas: np.ndarray) -> np.ndarray:
+        return np.array([
+            char_sum(a, p1) * char_sum(a, p2) * char_sum(a, values)
+            * cis(PhaseReducer(a).frac_fraction(Fraction(N))).conjugate()
+            for a in alphas.tolist()
+        ])
+
+    kappa = math.log(N) ** 2 / (2 * float(inst.c) * H)
+    k = min(kappa, 0.5)
+    fmax = 3 * H + 3  # |p1 + p2 + v - N| <= 3H
+    abs_tol = 1e-10 * len(p1) * len(p2) * len(values)
+
+    def arc(a, b):
+        edges = uniform_edges(a, b, max(1, math.ceil((b - a) * fmax)))
+        return adaptive_complex(F, edges, abs_tol * (b - a))[0]
+
+    # each side meets 1e-10 of the peak |P1||P2||V| times the arc length
+    rep = integrate_arcs(inst, mode="exact", tol=1e-10)
+    bound = 2e-10 * len(p1) * len(p2) * len(values)
+    assert abs(rep.I_major - arc(-k, k)) <= bound
+    want_plus = arc(k, 0.5) if k < 0.5 else 0
+    assert abs(rep.I_minor_plus - want_plus) <= bound
+
+
 def test_arcs_model_mode_real_even():
     inst = build_instance(10 ** 4, "3/2", THIRD, 1585)
     rep = integrate_arcs(inst, mode="model", tol=1e-6)
@@ -229,7 +284,7 @@ def test_main_term_vs_model_major_consistency():
     inst = build_instance(10 ** 8, "3/2", THIRD, 10 ** 6)
     dp = derive_params(inst)
     L = math.log(inst.N)
-    h3_lead = float(dp.h3_leading)
+    h3_lead = 2 * inst.H / (1.5 * float(inst.mu_N(3)) ** (1 / 3))  # 2H/(c (mu3 N)^(1-1/c))
     substituted = 3 * inst.H * h3_lead / (2 * L * L)
     mt = main_term_value(inst)
     assert substituted == pytest.approx(mt, rel=1e-6)

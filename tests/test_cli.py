@@ -90,7 +90,9 @@ def test_expsum_sc_excludes_exact_power_lower_edge(capsys):
     assert out.splitlines() == ["alpha,re,im,abs", "0,26,0,26"]
 
 
-@pytest.mark.parametrize("grid", ["0:1", "0:1:-3", "0:1:0", "a:1:3", "0:1:2.5"])
+@pytest.mark.parametrize(
+    "grid", ["0:1", "0:1:-3", "0:1:0", "a:1:3", "0:1:2.5", "nan:0.5:3", "0:inf:3", "0:nan:3"]
+)
 def test_malformed_alpha_grid_exit_2(grid, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["expsum", "--N", "100", "--c", "3/2", "--mu", "1/3,1/3,1/3", "--H", "5",
@@ -98,6 +100,30 @@ def test_malformed_alpha_grid_exit_2(grid, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "argument --alpha-grid" in err and "start:stop:count" in err
+
+
+@pytest.mark.parametrize(
+    "command,flag,value",
+    [("arcs", "--tol", v) for v in ("nan", "inf", "0", "-1e-6")]
+    + [("sweep", "--tol", "nan"), ("sweep", "--H-exponent", "inf"),
+       ("sweep", "--H-exponent", "nan")],
+)
+def test_nonfinite_number_flag_exit_2(command, flag, value, capsys):
+    # rejected by the parser, before any work: a nan tolerance is never met,
+    # so arcs would otherwise run until the quadrature budget is spent
+    with pytest.raises(SystemExit) as exc:
+        main([*BASE_ARGS[command], f"{flag}={value}"])
+    assert exc.value.code == 2
+    assert f"argument {flag}: expected a " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_list,exponent", [("10000", "1e300"), ("0", "-0.5")])
+def test_h_exponent_out_of_range_exit_2(n_list, exponent, capsys):
+    # N^exponent overflows, or is 0 to a negative power: an error, not a traceback
+    status = main(["sweep", "--N-list", n_list, "--c", "3/2", "--mu", "1/3,1/3,1/3",
+                   f"--H-exponent={exponent}"])
+    assert status == 2
+    assert "--H-exponent" in capsys.readouterr().err
 
 
 def test_negative_alpha_grid_start(capsys):
@@ -227,13 +253,6 @@ def test_determinism_byte_identical(tmp_path, capsys):
     s2, out2 = run_cli(args, capsys)
     assert s1 == s2 == 0
     assert out1 == out2
-
-
-def test_runconfig_json_roundtrip():
-    cfg = RunConfig(command="count", N=12, c="3/2", mu="1/4,1/4,1/2", H=3, tol=1e-7)
-    assert RunConfig.from_json(cfg.to_json()) == cfg
-    cfg2 = RunConfig(command="sweep", N_list="1,2", H_exponent=0.75, format="csv")
-    assert RunConfig.from_json(cfg2.to_json()) == cfg2
 
 
 def test_prime_cache_env_writes_nothing(tmp_path):

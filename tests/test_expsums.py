@@ -5,6 +5,7 @@ from fractions import Fraction
 import io
 from contextlib import redirect_stdout
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -20,7 +21,6 @@ from estermann.expsums import (
     char_sum,
     eval_S1,
     exp_integral,
-    oscillatory_integral,
     sinc,
 )
 from estermann.cli import main
@@ -165,25 +165,55 @@ def test_exp_integral_linear_closed_form():
         assert abs(exp_integral(alpha, a, b, 0.0) - closed) <= 1e-10 * (b - a)
 
 
-def test_oscillatory_integral_alpha0():
-    assert oscillatory_integral(0.0, 100.0, 200.0, C32) == 100.0
+def _substituted(alpha: float, a: int, b: int) -> complex:
+    # integral of e(alpha*t^(3/2)) dt over [a, b] after u = t^(3/2): the ends
+    # are squares, so u runs between the exact integers a^(3/2) and b^(3/2)
+    return (2 / 3) * exp_integral(alpha, math.isqrt(a) ** 3, math.isqrt(b) ** 3, -1 / 3)
 
 
-def test_oscillatory_integral_vs_rectangle_oracle():
-    alpha, a, b = 1e-3, 100.0, 200.0
+def test_exp_integral_substituted_alpha0():
+    assert _substituted(0.0, 100, 196) == pytest.approx(96.0, abs=1e-12)
+
+
+def test_exp_integral_substituted_vs_rectangle_oracle():
+    alpha, a, b = 1e-3, 100.0, 196.0
     t = np.linspace(a, b, 10 ** 7 + 1)
     mid = 0.5 * (t[1:] + t[:-1])
     oracle = np.sum(np.exp(2j * np.pi * alpha * mid ** 1.5)) * (b - a) / 10 ** 7
-    got = oscillatory_integral(alpha, a, b, C32)
+    got = _substituted(alpha, 100, 196)
     assert abs(got - oracle) <= 1e-8
-    # frozen from the rectangle oracle's first run
-    assert got.real == pytest.approx(-6.1384905508, abs=1e-6)
-    assert got.imag == pytest.approx(7.0855427991, abs=1e-6)
+    # frozen from the rectangle oracle's first run on [100, 196]
+    assert got.real == pytest.approx(-7.0285329949, abs=1e-6)
+    assert got.imag == pytest.approx(10.9373118243, abs=1e-6)
 
 
-def test_oscillatory_integral_rejects_bad_interval():
+def test_exp_integral_rejects_nonpositive_start():
     with pytest.raises(ValueError):
-        oscillatory_integral(0.1, 0.0, 5.0, C32)
+        exp_integral(0.1, 0, 125, -1 / 3)
+    # a constant amplitude needs no positive start
+    assert exp_integral(0.0, -3, 5, 0.0) == pytest.approx(8.0, abs=1e-12)
+
+
+def _mp_e(x) -> complex:
+    """e(x) for an mpmath real x, rounded to a double at the end."""
+    return complex(mp.expjpi(2 * x))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    M=st.fractions(min_value=1, max_value=10 ** 12, max_denominator=1000),
+    w=st.integers(1, 4000),
+    alpha=st.floats(1e-4, 0.5),
+)
+@example(M=Fraction(10 ** 12), w=4000, alpha=0.4)
+def test_exp_integral_at_large_centre(M, w, alpha):
+    # amp_power 0 over [M - w, M + w] is e(alpha*M) * sin(2 pi alpha w)/(pi alpha);
+    # the reference phase is reduced by mpmath at 200 bits
+    got = exp_integral(alpha, M - w, M + w, 0.0)
+    with mp.workprec(200):
+        phase = mp.mpf(alpha) * M.numerator / M.denominator
+        want = _mp_e(phase - mp.floor(phase)) * math.sin(2 * math.pi * alpha * w) / (math.pi * alpha)
+    assert abs(got - want) <= 1e-9 * w
 
 
 def test_tolerance_not_met_carries_achieved():
@@ -246,11 +276,10 @@ def test_approx_S1_vs_eval_inside_range():
 
 def test_approx_prime_sum_limit_and_bound():
     mu = Fraction(1, 3)
-    n1 = float(DESK_DP.n1)
-    limit = approx_prime_sum(0.0, n1, DESK.H, mu, DESK.N)
+    limit = approx_prime_sum(0.0, DESK.H, mu, DESK.N)
     assert limit == complex(2 * DESK.H / math.log(mu * DESK.N))
     for alpha in np.linspace(-0.5, 0.5, 41):
-        z = approx_prime_sum(float(alpha), n1, DESK.H, mu, DESK.N)
+        z = approx_prime_sum(float(alpha), DESK.H, mu, DESK.N)
         assert abs(z) <= abs(limit) + 1e-9
 
 
@@ -264,7 +293,7 @@ def test_approx_prime_sum_vs_eval_large_window():
     prim = primes_in(int(n1) - 2 * H + 1, int(n1))
     alpha = float(dp.kappa) / 3.0
     direct = char_sum(alpha, prim)
-    model = approx_prime_sum(alpha, n1, H, Fraction(1, 3), N)
+    model = approx_prime_sum(alpha, H, Fraction(1, 3), N)
     assert abs(direct - model) <= 0.1 * 2 * H / math.log(N)
 
 
@@ -282,3 +311,39 @@ def test_eval_S_c_matches_sinc_on_major_arc():
         )
         worst = max(worst, d / h3)
     assert worst <= 0.15
+
+
+# ---------------------------------------------------------------- large centres
+
+BIG = build_instance(3 * 10 ** 10, "7/4", ("1/3", "1/3", "1/3"), 200_000)
+BIG_DP = derive_params(BIG)
+
+
+@pytest.mark.parametrize("alpha", [2e-6, 0.1234567, 0.3001, 0.4501])
+def test_approx_S1_phase_at_large_centre(alpha):
+    # x = mu1*N + H = 1e10 + 2e5 and y = 2H: the phase alpha*(x - y/2) reaches
+    # 4.5e9 turns, so it is reduced by mpmath at 200 bits for the reference
+    x, y = BIG.mu_N(1) + BIG.H, 2 * BIG.H
+    amp = y * sinc(math.pi * alpha * y)
+    centre = x - Fraction(y, 2)
+    with mp.workprec(200):
+        phase = mp.mpf(alpha) * centre.numerator / centre.denominator
+        want = amp * _mp_e(phase - mp.floor(phase))
+    assert abs(approx_S1(alpha, x, y) - want) <= 1e-12 * abs(amp)
+
+
+def test_approx_S_c_integral_at_large_centre():
+    # one alpha of the grid "expsum --N 30000000000 --c 7/4 --mu 1/3,1/3,1/3
+    # --H 200000 --kind Sc_integral", against an mpmath quadrature in t over
+    # (N3 - H3, N3] at 32 digits, ~400 oscillations on 100 Gauss-Legendre panels
+    alpha = 0.00100125  # alpha*H = 200.25, so the value is near its envelope
+    with mp.workdps(32):
+        c = mp.mpf(7) / 4
+        a, b = (mp.mpf(10) ** 10 - BIG.H) ** (1 / c), (mp.mpf(10) ** 10 + BIG.H) ** (1 / c)
+        al = mp.mpf(alpha)
+        edges = [a + (b - a) * k / 100 for k in range(101)]
+        integral = mp.quad(lambda t: mp.expjpi(2 * al * t ** c), edges, method="gauss-legendre")
+        want = complex(mp.sinc(mp.pi * al) * mp.expjpi(-al) * integral)
+    h3 = float(BIG_DP.h3)
+    assert abs(want) >= 5e-4 * h3  # H3/(2 pi alpha H) is 8e-4 * H3
+    assert abs(approx_S_c(alpha, BIG_DP, BIG.c, "integral") - want) <= 1e-10 * h3

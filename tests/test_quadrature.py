@@ -167,7 +167,7 @@ def test_batched_integrand_matches_per_node_sums(N, H):
             char_sum(a, f.p1)
             * char_sum(a, f.p2)
             * char_sum(a, f.values)
-            * cis(PhaseReducer(a).frac_int(N)).conjugate()
+            * cis(PhaseReducer(a).frac_fraction(Fraction(N))).conjugate()
             for a in alphas.tolist()
         ]
     )
