@@ -64,12 +64,6 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(s))
 
 
-def format_rational(x: Fraction) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
-
-
 def integer_root(x: int, q: int) -> int:
     """Floor q-th root of a non-negative integer, by Newton iteration.
 

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import mpmath as mp
 import numpy as np
 
 from .counting import (
@@ -389,6 +388,8 @@ def sin3_integral(T: float) -> float:
     if T < 1e-3:
         T2 = T * T
         return T * (1.0 - T2 / 6.0 + (13.0 / 600.0) * T2 * T2)
+    import mpmath as mp  # here, not at module level: count never loads mpmath
+
     s, c = math.sin(T), math.cos(T)
     si = 9.0 * float(mp.si(3.0 * T)) - 3.0 * float(mp.si(T))
     return -s ** 3 / (2.0 * T * T) - 3.0 * s * s * c / (2.0 * T) + si / 8.0

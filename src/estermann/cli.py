@@ -25,7 +25,6 @@ from .errors import EstermannError, MemoryBudgetExceeded
 from .expsums import approx_prime_sum, approx_S1, approx_S_c, char_sum, eval_S1
 from .instance import build_instance, derive_params, hypothesis_report
 from .sieve import lambda_segment, primes_in
-from .verify import run_verify
 
 EXPSUM_KINDS = ("Sc", "S1", "prime", "Sc_sinc", "Sc_integral", "S1_approx", "prime_approx")
 
@@ -119,7 +118,7 @@ def _cmd_count(cfg: RunConfig) -> int:
     if cfg.format == "csv":
         _emit(cfg, breakdown.to_csv())
     else:
-        _emit(cfg, _with_config(cfg, json.loads(breakdown.to_json())))
+        _emit(cfg, _with_config(cfg, breakdown.to_dict()))
     return 0
 
 
@@ -198,6 +197,8 @@ def _cmd_expsum(cfg: RunConfig) -> int:
 
 
 def _cmd_verify(cfg: RunConfig) -> int:
+    from .verify import run_verify  # loads mpmath, which count never needs
+
     ok = run_verify(quick=cfg.quick)
     return 0 if ok else 1
 

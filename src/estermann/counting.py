@@ -2,13 +2,14 @@
 
 Pairs (p1, p2) are ordered: (2, 5) and (5, 2) are distinct solutions.  Two
 independent paths compute the same CountBreakdown: a brute-force pair
-enumeration (the oracle) and a bitset-indexed fast path.
+enumeration (the oracle) and a fast path that, for each floor value v, takes
+the slice of sorted window-1 primes whose partner N - v - p1 can lie in
+window 2 and counts the partners that are prime with one gather.
 """
 
 from __future__ import annotations
 
 import io
-import json
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
@@ -32,16 +33,15 @@ class CountBreakdown:
     per_n: tuple[tuple[int, int, int], ...]  # (n, v = floor(n^c), r)
     n_range: Optional[tuple[int, int]]
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
+        """The JSON document of the count: total, n_lo, n_hi and per_n rows."""
         n_lo, n_hi = self.n_range if self.n_range else (None, None)
-        return json.dumps(
-            {
-                "total": self.total,
-                "n_lo": n_lo,
-                "n_hi": n_hi,
-                "per_n": [list(row) for row in self.per_n],
-            }
-        )
+        return {
+            "total": self.total,
+            "n_lo": n_lo,
+            "n_hi": n_hi,
+            "per_n": [list(row) for row in self.per_n],
+        }
 
     def to_csv(self) -> str:
         out = io.StringIO()
@@ -71,15 +71,13 @@ def admissible_floor_values(inst: ProblemInstance):
     return rng, floor_pow_values(*rng, inst.c)
 
 
-def _breakdown(n_range, values, r_of_v) -> CountBreakdown:
-    per_n = []
-    total = 0
+def _breakdown(n_range, values, r_values) -> CountBreakdown:
+    """Rows (n, v, r) from the floor values and their counts, in order."""
     n_lo = n_range[0] if n_range else 0
-    for i, v in enumerate(values):
-        r = int(r_of_v(int(v)))
-        per_n.append((n_lo + i, int(v), r))
-        total += r
-    return CountBreakdown(total=total, per_n=tuple(per_n), n_range=n_range)
+    per_n = tuple(
+        (n_lo + i, int(v), int(r)) for i, (v, r) in enumerate(zip(values, r_values))
+    )
+    return CountBreakdown(total=sum(r for _, _, r in per_n), per_n=per_n, n_range=n_range)
 
 
 def brute_force_count(
@@ -99,13 +97,22 @@ def brute_force_count(
     for p1 in p1s:
         for p2 in p2s:
             pair_sums[p1 + p2] += 1
-    return _breakdown(n_range, values, lambda v: pair_sums[inst.N - v])
+    return _breakdown(n_range, values, [pair_sums[inst.N - int(v)] for v in values])
 
 
 def fast_count(
     inst: ProblemInstance, *, mem_entries: int = DEFAULT_MEM_ENTRIES
 ) -> CountBreakdown:
-    """Same contract as brute_force_count via a window-2 primality bitset."""
+    """Same contract as brute_force_count, by one slice gather per floor value.
+
+    With t = N - v, the partner t - p of p lies in window 2 = [lo2, hi2]
+    exactly when p lies in [t - hi2, t - lo2]: a contiguous slice of the
+    sorted window-1 primes, whose ends come from searchsorted.  Window 2's
+    primes are flagged in reverse, rev[hi2 - p2] = True, so the partner of p
+    sits at rev[p + hi2 - t] and r(v) is the number of flags that the slice,
+    shifted by hi2 - t, gathers.  The flag array has one entry per integer of
+    window 2, checked against mem_entries before anything is sieved.
+    """
     lo2, hi2 = inst.window(2)
     span = max(hi2 - lo2 + 1, 0)
     if span > mem_entries:
@@ -113,16 +120,14 @@ def fast_count(
     p1 = window_primes(inst, 1)
     n_range, values = admissible_floor_values(inst)
     if span == 0 or len(p1) == 0 or len(values) == 0:
-        return _breakdown(n_range, values, lambda v: 0)
-    is_p2 = np.zeros(span, dtype=bool)
-    p2 = window_primes(inst, 2)
-    is_p2[p2 - lo2] = True
-
-    def pairs_for(v: int) -> int:
-        targets = inst.N - v - p1
-        ok = (targets >= lo2) & (targets <= hi2)
-        if not ok.any():
-            return 0
-        return int(np.count_nonzero(is_p2[targets[ok] - lo2]))
-
-    return _breakdown(n_range, values, pairs_for)
+        return _breakdown(n_range, values, [0] * len(values))
+    rev = np.zeros(span, dtype=bool)
+    rev[hi2 - window_primes(inst, 2)] = True
+    t = inst.N - values
+    starts = np.searchsorted(p1, t - hi2, side="left").tolist()
+    stops = np.searchsorted(p1, t - lo2, side="right").tolist()
+    r_values = [
+        np.count_nonzero(rev[p1[i:j] + (hi2 - tv)])
+        for tv, i, j in zip(t.tolist(), starts, stops)
+    ]
+    return _breakdown(n_range, values, r_values)

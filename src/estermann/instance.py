@@ -13,12 +13,13 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
-
-import mpmath as mp
+from typing import TYPE_CHECKING, Optional, Union
 
 from .arith import RationalExponent, parse_rational
 from .errors import MuSumNotOne, WindowTooWide
+
+if TYPE_CHECKING:
+    import mpmath as mp
 
 # Significand bits for derived reals.  Phase products alpha*floor(n^c) reach
 # ~1e12 and still need ~1e-8 absolute accuracy mod 1, which a 53-bit double
@@ -117,12 +118,16 @@ class DerivedParams:
 
 def _root_c(x: Fraction, c: RationalExponent) -> mp.mpf:
     """x^(1/c) = (x^q)^(1/p) for exact rational x > 0, at working precision."""
+    import mpmath as mp
+
     xq = x ** c.q
     return mp.root(mp.mpf(xq.numerator) / mp.mpf(xq.denominator), c.p)
 
 
 def derive_params(inst: ProblemInstance) -> DerivedParams:
     """Compute N1, N2, N3, H3 and kappa."""
+    import mpmath as mp  # here, not at module level: count never loads mpmath
+
     with mp.workprec(WORKING_PRECISION):
         N, H, c = inst.N, inst.H, inst.c
         n1 = mp.mpf((inst.mu_N(1) + H).numerator) / mp.mpf((inst.mu_N(1) + H).denominator)

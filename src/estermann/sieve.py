@@ -80,11 +80,14 @@ def primes_in(a: int, b: int, *, segment_entries: int = DEFAULT_SEGMENT_ENTRIES)
         if a > b:
             return np.array([], dtype=np.int64)
         raise ValueError("primes_in requires 1 <= a <= b")
+    # No copies of the prime array: flatnonzero already gives int64 on 64-bit
+    # hosts, the offset is added in place, and one segment is returned as is.
     parts = []
     for lo, hi in _segments(a, b, segment_entries):
-        flags = _sieve_flags(lo, hi)
-        parts.append(np.flatnonzero(flags).astype(np.int64) + lo)
-    return np.concatenate(parts) if parts else np.array([], dtype=np.int64)
+        primes = np.flatnonzero(_sieve_flags(lo, hi)).astype(np.int64, copy=False)
+        primes += lo
+        parts.append(primes)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def pi_interval(x: int, y: int) -> int:

@@ -12,7 +12,6 @@ import estermann
 from estermann.arith import (
     RationalExponent,
     floor_pow,
-    format_rational,
     integer_root,
     invert_floor_range,
     parse_rational,
@@ -40,8 +39,6 @@ def test_rational_exponent_validation():
 def test_parse_format_rational():
     assert parse_rational("3/2") == Fraction(3, 2)
     assert parse_rational(" 7 ") == Fraction(7)
-    assert format_rational(Fraction(1, 3)) == "1/3"
-    assert format_rational(Fraction(4)) == "4"
 
 
 def test_integer_root_small():

@@ -343,3 +343,56 @@ def test_closed_stdout_exits_quietly(unbuffered):
         os.close(write_end)
     assert proc.stderr == b""
     assert proc.returncode == 1
+
+
+# Run in a fresh interpreter: modules this test process has imported would
+# otherwise show up in sys.modules.
+_IMPORT_FOOTPRINT = """
+import io, json, sys
+from contextlib import redirect_stdout
+
+def heavy():
+    return sorted(m for m in ("mpmath", "numpy.random") if m in sys.modules)
+
+def run(argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        status = estermann.cli.main(argv)
+    return status, json.loads(out.getvalue())
+
+seen = {}
+import estermann
+seen["import estermann"] = heavy()
+import estermann.cli
+seen["import estermann.cli"] = heavy()
+instance = ["--N", "10000", "--c", "3/2", "--mu", "1/3,1/3,1/3", "--H", "500"]
+count_status, count = run(["count", *instance])
+seen["count"] = heavy()
+arcs_status, arcs = run(["arcs", *instance, "--mode", "model"])
+seen["arcs"] = heavy()
+print(json.dumps({"seen": seen, "status": [count_status, arcs_status],
+                  "count": count["total"], "arcs": arcs["exact_total"],
+                  "kappa": arcs["kappa"]}))
+"""
+
+
+def test_count_loads_neither_mpmath_nor_numpy_random():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_FOOTPRINT],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["seen"] == {
+        "import estermann": [],
+        "import estermann.cli": [],
+        "count": [],
+        "arcs": ["mpmath"],  # loaded on first use, at 96 bits as before
+    }
+    assert doc["status"] == [0, 0]
+    assert doc["count"] == doc["arcs"] == 564
+    inst = build_instance(10 ** 4, "3/2", ("1/3", "1/3", "1/3"), 500)
+    assert doc["kappa"] == float(instance.derive_params(inst).kappa)

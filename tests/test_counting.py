@@ -1,4 +1,3 @@
-import json
 import math
 import random
 from fractions import Fraction
@@ -9,7 +8,12 @@ from hypothesis import strategies as st
 
 from estermann.arith import floor_pow
 from estermann.circle import exact_convolution_count
-from estermann.counting import brute_force_count, fast_count
+from estermann.counting import (
+    admissible_floor_values,
+    brute_force_count,
+    fast_count,
+    window_primes,
+)
 from estermann.errors import MemoryBudgetExceeded, OracleLimitExceeded
 from estermann.instance import build_instance
 from estermann.verify import random_instances
@@ -98,7 +102,7 @@ def test_per_n_membership_exact():
 def test_json_csv_serialization():
     inst = build_instance(12, "3/2", ("1/4", "1/4", "1/2"), 3)
     b = brute_force_count(inst)
-    assert json.loads(b.to_json()) == {
+    assert b.to_dict() == {
         "total": b.total, "n_lo": 3, "n_hi": 4, "per_n": [list(row) for row in b.per_n]
     }
     csv = b.to_csv()
@@ -106,7 +110,7 @@ def test_json_csv_serialization():
     assert csv.splitlines()[1] == "3,5,2"
     empty = build_instance(10 ** 4, "3/2", ("1/3", "1/3", "1/3"), 0)
     eb = fast_count(empty)
-    assert json.loads(eb.to_json()) == {"total": 0, "n_lo": None, "n_hi": None, "per_n": []}
+    assert eb.to_dict() == {"total": 0, "n_lo": None, "n_hi": None, "per_n": []}
 
 
 @st.composite
@@ -153,6 +157,37 @@ def test_three_counting_paths_agree(inst):
             want.append((n, v))
         n += 1
     assert [(n, v) for n, v, _ in f.per_n] == want
+
+
+# fast_count counts, for each floor value v, the window-1 primes p whose
+# partner N - v - p lies in window 2: a slice of the sorted primes.  These
+# instances put a prime partner exactly on an edge of window 2, and a v whose
+# slice is empty next to a v whose slice is not.  (An empty slice cannot sit
+# between two non-empty ones: the slice ends move one way as v grows, and
+# window 2 holds at most one integer fewer than window 1.)  All three have
+# mu1 != mu2 with windows 1 and 2 of different integer spans.
+@pytest.mark.parametrize(
+    "inst, edges, empty_next_to_full",
+    [
+        (build_instance(64, "7/4", ("1/3", "1/4", "5/12"), 13), {"lo2", "hi2"}, False),
+        (build_instance(987, "17/12", ("1/3", "1/4", "5/12"), 8), {"lo2"}, True),
+        (build_instance(2668, "17/12", ("1/3", "1/4", "5/12"), 16), {"hi2"}, True),
+    ],
+)
+def test_fast_count_slice_ends(inst, edges, empty_next_to_full):
+    lo1, hi1 = inst.window(1)
+    lo2, hi2 = inst.window(2)
+    assert hi1 - lo1 != hi2 - lo2
+    p1 = [int(p) for p in window_primes(inst, 1)]
+    p2 = {int(p) for p in window_primes(inst, 2)}
+    _, values = admissible_floor_values(inst)
+    # the slices by trial, one window test per prime
+    slices = [[p for p in p1 if inst.in_window(2, inst.N - int(v) - p)] for v in values]
+    partners = {inst.N - int(v) - p for v, s in zip(values, slices) for p in s} & p2
+    assert {name for name, m in (("lo2", lo2), ("hi2", hi2)) if m in partners} == edges
+    empty = [not s for s in slices]
+    assert any(a != b for a, b in zip(empty, empty[1:])) == empty_next_to_full
+    assert fast_count(inst).per_n == brute_force_count(inst).per_n
 
 
 def test_convolution_matches_fast_count_on_threaded_dots():
