@@ -78,12 +78,14 @@ def integer_root(x: int, q: int) -> int:
         return x
     if q == 2:
         return math.isqrt(x)
-    # Float seed, nudged up so the decreasing Newton iteration starts above
-    # the root even when pow() rounds low.
-    try:
-        k = int(x ** (1.0 / q)) + 2
-    except OverflowError:
-        k = 1 << (x.bit_length() // q + 2)
+    # Float seed from the top bits of x (below 2^1000, so the float cannot
+    # overflow), nudged up so the decreasing Newton iteration starts above
+    # the root.  For q >= 3 the float root is off by a relative 2^-45 at
+    # most (1.0 / q is off by 2^-53 relatively, which moves the root by
+    # ln(x) / q times that), so the relative nudge keeps roots past 2^53
+    # above the true one, and the + 2 covers small roots.
+    shift = max(0, x.bit_length() - 1000 + q - 1) // q
+    k = (int((x >> (shift * q)) ** (1.0 / q) * (1.0 + 2.0 ** -40)) + 2) << shift
     while True:
         t = ((q - 1) * k + x // k ** (q - 1)) // q
         if t >= k:

@@ -14,9 +14,8 @@ that integer without any quadrature as the cross-check.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -56,7 +55,8 @@ class ExactIntegrand:
     the integrand is the product of the three sums of e(alpha*k), with every
     |k| <= H + 1 (|b3 - mu3*N| <= 1).  A batch of alphas is evaluated in row
     chunks of at most _CHUNK_ELEMENTS phases (one row per alpha, one column
-    per window element), so memory stays flat however many nodes arrive.
+    per window element), in three work buffers allocated once per integrand,
+    so memory stays flat however many nodes arrive.
 
     No exact phase reduction is needed.  For |alpha| <= 1/2 the double product
     alpha*k is off by at most 2^-54 * (H + 1) turns.  Rounding the node alpha
@@ -64,7 +64,7 @@ class ExactIntegrand:
     3H, by the same order, so reducing the rounded node exactly buys nothing.
     """
 
-    # 128 KiB per temporary: a chunk's arrays stay in L2 and peak RSS stays flat
+    # 128 KiB per work buffer: a chunk's arrays stay in L2 and peak RSS stays flat
     _CHUNK_ELEMENTS = 1 << 14
 
     def __init__(self, inst: ProblemInstance):
@@ -79,6 +79,16 @@ class ExactIntegrand:
             [np.asarray(w, dtype=np.int64) - b for w, b in zip(windows, bases)]
         ).astype(np.float64)
         self._bounds = np.cumsum([0] + [len(w) for w in windows])
+        # Three work buffers, allocated once and reused by every chunk.  With
+        # fresh 128 KiB temporaries per chunk, glibc trims the heap top after
+        # each chunk and faults the pages back in on the next one, unless an
+        # earlier allocation pattern (importing mpmath, say) has raised its
+        # dynamic trim threshold: on a 2-core Intel Xeon host, arcs --mode
+        # exact at N = 4500, c = 5/3, H = 362 took 27-29 ms that way, against
+        # 15-18 ms with mpmath imported, with MALLOC_TRIM_THRESHOLD_=4194304,
+        # or with these buffers.
+        self._step = max(1, self._CHUNK_ELEMENTS // max(self._offsets.size, 1))
+        self._work = np.empty((3, self._step, self._offsets.size))
 
     def is_empty(self) -> bool:
         return any(len(w) == 0 for w in (self.p1, self.p2, self.values))
@@ -93,14 +103,15 @@ class ExactIntegrand:
 
     def _chunk(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Real and imaginary parts of the integrand at a chunk of alphas."""
-        x = a[:, None] * self._offsets
-        x -= np.rint(x)
+        x, t2, w = self._work[:, : a.size]
+        np.multiply(a[:, None], self._offsets, out=x)
+        x -= np.rint(x, out=t2)
         # e(x) = (1 - t^2 + 2it) / (1 + t^2) with t = tan(pi*x), |x| <= 1/2:
         # one tangent per phase instead of a cosine and a sine.  Computed in
-        # place, so a chunk never holds more than three arrays.
+        # the three work buffers, so a chunk allocates no phase-sized array.
         t = np.tan(np.multiply(x, np.pi, out=x), out=x)
-        t2 = t * t
-        w = np.reciprocal(t2 + 1.0)
+        t2 = np.multiply(t, t, out=t2)
+        w = np.reciprocal(np.add(t2, 1.0, out=w), out=w)
         cos = np.multiply(np.subtract(1.0, t2, out=t2), w, out=t2)
         sin = np.multiply(np.multiply(t, 2.0, out=t), w, out=t)
         # The product in real arithmetic: numpy's complex multiply rounds
@@ -120,7 +131,7 @@ class ExactIntegrand:
         out = np.zeros(a.shape, dtype=complex)
         if self.is_empty():
             return out
-        step = max(1, self._CHUNK_ELEMENTS // self._offsets.size)
+        step = self._step
         for start in range(0, a.size, step):
             part = out[start : start + step]
             part.real, part.imag = self._chunk(a[start : start + step])
@@ -137,7 +148,7 @@ class ModelIntegrand:
 
     def __init__(self, inst: ProblemInstance, dp: DerivedParams):
         self.H = inst.H
-        self.amp = (2.0 * inst.H) ** 2 * float(dp.h3) / (
+        self.amp = (2.0 * inst.H) ** 2 * dp.h3 / (
             math.log(inst.mu_N(1)) * math.log(inst.mu_N(2))
         )
 
@@ -220,30 +231,12 @@ class ArcReport:
     def arc_sum(self) -> complex:
         return self.I_major + self.I_minor_plus + self.I_minor_minus
 
-    def to_json(self) -> str:
-        def c2l(z: complex):
-            return [z.real, z.imag]
-
-        return json.dumps(
-            {
-                "mode": self.mode,
-                "tol": self.tol,
-                "kappa": self.kappa,
-                "arc_split": self.arc_split,
-                "I_major": c2l(self.I_major),
-                "I_minor_plus": c2l(self.I_minor_plus),
-                "I_minor_minus": c2l(self.I_minor_minus),
-                "exact_total": self.exact_total,
-                "model_major": self.model_major,
-                "main_term": self.main_term,
-                "additivity_error": self.additivity_error,
-                "ratio_exact_to_main": self.ratio_exact_to_main,
-                "ratio_major_to_model": self.ratio_major_to_model,
-                "achieved_error": self.achieved_error,
-                "n_evals": self.n_evals,
-            },
-            indent=2,
-        )
+    def to_dict(self) -> dict:
+        """The report's fields, each complex value as [re, im]."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        for name in ("I_major", "I_minor_plus", "I_minor_minus"):
+            doc[name] = [doc[name].real, doc[name].imag]
+        return doc
 
 
 def model_major_value(inst: ProblemInstance, dp: Optional[DerivedParams] = None) -> float:
@@ -253,7 +246,7 @@ def model_major_value(inst: ProblemInstance, dp: Optional[DerivedParams] = None)
     return (
         3.0
         * inst.H
-        * float(dp.h3)
+        * dp.h3
         / (2.0 * math.log(inst.mu_N(1)) * math.log(inst.mu_N(2)))
     )
 
@@ -307,7 +300,7 @@ def integrate_arcs(
         raise ValueError("tol must be positive")
     if dp is None:
         dp = derive_params(inst)
-    kappa = float(dp.kappa)
+    kappa = dp.kappa
 
     if mode == "exact":
         integrand = ExactIntegrand(inst)

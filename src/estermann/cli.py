@@ -56,9 +56,6 @@ class RunConfig:
     N_list: Optional[str] = None
     H_exponent: float = 0.8
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
     @property
     def mem_entries(self) -> int:
         """--mem-mb in 8-byte entries, the widest the budgeted arrays hold."""
@@ -105,7 +102,7 @@ def _emit(cfg: RunConfig, text: str) -> None:
 
 def _with_config(cfg: RunConfig, payload: dict) -> str:
     doc = dict(payload)
-    doc["config"] = json.loads(cfg.to_json())
+    doc["config"] = asdict(cfg)
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
@@ -132,8 +129,8 @@ def _cmd_arcs(cfg: RunConfig) -> int:
         mem_entries=cfg.mem_entries,
         dp=dp,
     )
-    doc = json.loads(report.to_json())
-    doc["hypotheses"] = json.loads(hypothesis_report(inst, dp).to_json())
+    doc = report.to_dict()
+    doc["hypotheses"] = hypothesis_report(inst, dp).to_dict()
     _emit(cfg, _with_config(cfg, doc))
     return 0
 

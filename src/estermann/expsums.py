@@ -181,7 +181,7 @@ def approx_S_c(
     "sinc":     H3 * sinc(2*pi*alpha*H) * e(alpha*mu3*N).
     Both reduce to H3 at alpha = 0.
     """
-    h3 = float(dp.h3)
+    h3 = dp.h3
     if alpha == 0.0:
         return complex(h3)
     if form == "sinc":

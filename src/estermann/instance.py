@@ -5,26 +5,27 @@ with |p_k - mu_k*N| <= H and |floor(n^c) - mu_3*N| <= H.  The proportions mu
 and the exponent c are exact rationals, so window membership of an integer m
 is the exact integer test |q_mu*m - p_mu*N| <= q_mu*H and never depends on
 floating point.
+
+The derived window parameters (N1, N2, N3, H3, kappa) are plain doubles, each
+the double nearest its exact definition: N1 and N2 are exact rationals, N3
+and H3 come from integer p-th roots scaled by 2^128, and kappa from a
+24-digit decimal logarithm.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional, Union
+from typing import Optional, Union
 
-from .arith import RationalExponent, parse_rational
+from .arith import RationalExponent, integer_root, parse_rational
 from .errors import MuSumNotOne, WindowTooWide
 
-if TYPE_CHECKING:
-    import mpmath as mp
-
-# Significand bits for derived reals.  Phase products alpha*floor(n^c) reach
-# ~1e12 and still need ~1e-8 absolute accuracy mod 1, which a 53-bit double
-# cannot carry through the N3/H3 chain.
-WORKING_PRECISION = 96
+# N3 and H3 are taken from floor(x^(1/c) * 2^_ROOT_BITS); H3 is a difference
+# of two such roots, so it stays exact to 2^-_ROOT_BITS however much it cancels.
+_ROOT_BITS = 128
 
 RationalLike = Union[Fraction, str, int]
 
@@ -94,18 +95,19 @@ def build_instance(N: int, c, mu, H: int) -> ProblemInstance:
 
 @dataclass(frozen=True)
 class DerivedParams:
-    """Derived window parameters at >= 64-bit-significand precision.
+    """Derived window parameters, each the double nearest its exact value.
 
-    n3 satisfies n3^c = mu3*N + H and h3 = n3 - (mu3*N - H)^(1/c), so n runs
-    over (n3 - h3, n3].
+    n1 = mu1*N + H and n2 = mu2*N + H; n3 satisfies n3^c = mu3*N + H and
+    h3 = n3 - (mu3*N - H)^(1/c), so n runs over (n3 - h3, n3]; and
+    kappa = (ln N)^2 / (2cH), infinite when H = 0.
     """
 
     inst: ProblemInstance
-    n1: mp.mpf
-    n2: mp.mpf
-    n3: mp.mpf
-    h3: mp.mpf
-    kappa: mp.mpf
+    n1: float
+    n2: float
+    n3: float
+    h3: float
+    kappa: float
 
     @property
     def H(self) -> int:
@@ -116,27 +118,41 @@ class DerivedParams:
         return self.inst.mu_N(3)
 
 
-def _root_c(x: Fraction, c: RationalExponent) -> mp.mpf:
-    """x^(1/c) = (x^q)^(1/p) for exact rational x > 0, at working precision."""
-    import mpmath as mp
+def _scaled_root(x: Fraction, c: RationalExponent) -> int:
+    """floor(x^(1/c) * 2^_ROOT_BITS) for exact rational x >= 0, c = p/q.
 
-    xq = x ** c.q
-    return mp.root(mp.mpf(xq.numerator) / mp.mpf(xq.denominator), c.p)
+    x^(1/c) * 2^b is the p-th root of x^q * 2^(b p), and the floor of the
+    p-th root of a real y >= 0 is the integer p-th root of floor(y).
+    """
+    y = x ** c.q * (1 << (_ROOT_BITS * c.p))
+    return integer_root(y.numerator // y.denominator, c.p)
 
 
 def derive_params(inst: ProblemInstance) -> DerivedParams:
     """Compute N1, N2, N3, H3 and kappa."""
-    import mpmath as mp  # here, not at module level: count never loads mpmath
-
-    with mp.workprec(WORKING_PRECISION):
-        N, H, c = inst.N, inst.H, inst.c
-        n1 = mp.mpf((inst.mu_N(1) + H).numerator) / mp.mpf((inst.mu_N(1) + H).denominator)
-        n2 = mp.mpf((inst.mu_N(2) + H).numerator) / mp.mpf((inst.mu_N(2) + H).denominator)
-        n3 = _root_c(inst.mu_N(3) + H, c)
-        h3 = n3 - _root_c(inst.mu_N(3) - H, c)  # mu3*N - H > 0 by construction
-        L = mp.log(N)
-        kappa = L * L * c.q / (2 * c.p * H) if H > 0 else mp.inf
-        return DerivedParams(inst=inst, n1=n1, n2=n2, n3=n3, h3=h3, kappa=kappa)
+    N, H, c = inst.N, inst.H, inst.c
+    top = _scaled_root(inst.mu_N(3) + H, c)
+    bottom = _scaled_root(inst.mu_N(3) - H, c)  # mu3*N - H >= 0 by construction
+    scale = 1 << _ROOT_BITS
+    if H > 0:
+        # ln N correctly rounded to 24 digits; with the three roundings after
+        # it the quotient is within 2^-75 of kappa relatively, so float()
+        # gives the double nearest kappa unless kappa lies that close to a
+        # midpoint between two doubles.
+        with localcontext() as ctx:
+            ctx.prec = 24
+            L = Decimal(N).ln()
+            kappa = float(L * L * c.q / (2 * c.p * H))
+    else:
+        kappa = math.inf
+    return DerivedParams(
+        inst=inst,
+        n1=float(inst.mu_N(1) + H),
+        n2=float(inst.mu_N(2) + H),
+        n3=float(Fraction(top, scale)),
+        h3=float(Fraction(top - bottom, scale)),
+        kappa=kappa,
+    )
 
 
 @dataclass(frozen=True)
@@ -156,13 +172,13 @@ class HypothesisReport:
     conditions: dict[str, Condition]
     notes: tuple[str, ...]
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
         doc = {
             name: {"holds": c.holds, "lhs": c.lhs, "rhs": c.rhs}
             for name, c in self.conditions.items()
         }
         doc["notes"] = list(self.notes)
-        return json.dumps(doc, indent=2)
+        return doc
 
 
 # The lower bound on c is evaluated strictly (c > rhs).  One statement of the
@@ -185,9 +201,8 @@ def hypothesis_report(
 
     if dp is None:
         dp = derive_params(inst)
-    n3 = float(dp.n3)
-    h3 = float(dp.h3)
-    n_k_max = float(max(dp.n1, dp.n2))
+    n3, h3 = dp.n3, dp.h3
+    n_k_max = max(dp.n1, dp.n2)
 
     c_frac = float(c.dist_to_nearest_int())
     conds = {

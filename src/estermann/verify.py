@@ -194,7 +194,7 @@ def check_orthogonality(quick: bool) -> Check:
 def check_sinc_limits(quick: bool) -> Check:
     inst = build_instance(10 ** 6, "3/2", ("1/3", "1/3", "1/3"), 10 ** 4)
     dp = derive_params(inst)
-    h3 = float(dp.h3)
+    h3 = dp.h3
     z0 = approx_S_c(0.0, dp, inst.c, form="sinc")
     zi = approx_S_c(0.0, dp, inst.c, form="integral")
     first_zero = approx_S_c(1.0 / (2 * inst.H), dp, inst.c, form="sinc")
@@ -279,7 +279,7 @@ def check_prime_sum_vs_eval(quick: bool) -> Check:
     dp = derive_params(inst)
     top1 = math.floor(inst.mu_N(1) + H)
     prim = primes_in(top1 - 2 * H + 1, top1)
-    alpha = float(dp.kappa) / 3.0
+    alpha = dp.kappa / 3.0
     direct = char_sum(alpha, prim)
     model = approx_prime_sum(alpha, H, inst.mu[0], N)
     bound = 0.5 * 2 * H / math.log(N)

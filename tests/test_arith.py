@@ -58,6 +58,29 @@ def test_integer_root_random_postcondition():
         assert k ** q <= x < (k + 1) ** q
 
 
+@pytest.mark.parametrize("q", (3, 4, 7, 13))
+def test_integer_root_large_roots(q):
+    # roots past 2^53, where a bare float seed can land below the root
+    rng = random.Random(q)
+    for bits in range(53, 301, 13):
+        k = rng.getrandbits(bits) | (1 << (bits - 1))
+        for x in (k ** q - 1, k ** q, k ** q + 1):
+            r = integer_root(x, q)
+            assert r ** q <= x < (r + 1) ** q
+        assert integer_root(k ** q - 1, q) == k - 1
+        assert integer_root(k ** q, q) == integer_root(k ** q + 1, q) == k
+
+
+def test_integer_root_seed_below_root():
+    # The bare float seed int(x ** (1/3)) + 2 lands 162524039 below this
+    # 76-bit root; stepping up from there one integer at a time takes over
+    # 20 s.
+    k = 57489193697947568565129
+    assert int((k ** 3) ** (1.0 / 3)) + 2 < k - 10 ** 8
+    assert integer_root(k ** 3, 3) == k
+    assert integer_root(k ** 3 - 1, 3) == k - 1
+
+
 def test_floor_pow_examples():
     c32 = RationalExponent(3, 2)
     assert floor_pow(1, c32) == 1

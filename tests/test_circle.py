@@ -295,9 +295,7 @@ def test_main_term_vs_model_major_consistency():
 def test_arc_report_json():
     inst = build_instance(500, "3/2", THIRD, 100)
     rep = integrate_arcs(inst, mode="exact", tol=1e-6)
-    import json
-
-    doc = json.loads(rep.to_json())
+    doc = rep.to_dict()
     assert doc["exact_total"] == rep.exact_total
     assert doc["I_major"] == [rep.I_major.real, rep.I_major.imag]
     assert doc["arc_split"] is True

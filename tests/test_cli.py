@@ -162,7 +162,7 @@ def test_arcs_derives_params_once(capsys, monkeypatch):
     )
     assert status == 0 and len(calls) == 1
     inst = build_instance(500, "3/2", ("1/3", "1/3", "1/3"), 100)
-    assert json.loads(out)["hypotheses"] == json.loads(hypothesis_report(inst).to_json())
+    assert json.loads(out)["hypotheses"] == hypothesis_report(inst).to_dict()
 
 
 def test_consecutive_calls_match_fresh_processes(capsys):
@@ -354,29 +354,36 @@ from contextlib import redirect_stdout
 def heavy():
     return sorted(m for m in ("mpmath", "numpy.random") if m in sys.modules)
 
-def run(argv):
+status, seen, docs = {}, {}, {}
+
+def run(name, argv):
     out = io.StringIO()
     with redirect_stdout(out):
-        status = estermann.cli.main(argv)
-    return status, json.loads(out.getvalue())
+        status[name] = estermann.cli.main(argv)
+    seen[name] = heavy()
+    return out.getvalue()
 
-seen = {}
 import estermann
 seen["import estermann"] = heavy()
 import estermann.cli
 seen["import estermann.cli"] = heavy()
 instance = ["--N", "10000", "--c", "3/2", "--mu", "1/3,1/3,1/3", "--H", "500"]
-count_status, count = run(["count", *instance])
-seen["count"] = heavy()
-arcs_status, arcs = run(["arcs", *instance, "--mode", "model"])
-seen["arcs"] = heavy()
-print(json.dumps({"seen": seen, "status": [count_status, arcs_status],
-                  "count": count["total"], "arcs": arcs["exact_total"],
-                  "kappa": arcs["kappa"]}))
+docs["count"] = json.loads(run("count", ["count", *instance]))
+for mode in ("exact", "model"):
+    docs[mode] = json.loads(run(f"arcs {mode}", ["arcs", *instance, "--mode", mode]))
+run("sweep", ["sweep", "--N-list", "1000,10000", "--c", "3/2", "--mu", "1/3,1/3,1/3"])
+for kind in estermann.cli.EXPSUM_KINDS:
+    run(f"expsum {kind}", ["expsum", *instance, "--kind", kind, "--alpha-grid", "0:0.5:5"])
+run("verify --quick", ["verify", "--quick"])
+print(json.dumps({"seen": seen, "status": status, "count": docs["count"]["total"],
+                  "arcs": [docs[m]["exact_total"] for m in ("exact", "model")],
+                  "kappa": [docs[m]["kappa"] for m in ("exact", "model")]}))
 """
 
 
 def test_count_loads_neither_mpmath_nor_numpy_random():
+    # count, arcs (both modes), sweep and every expsum kind load neither
+    # mpmath nor numpy.random; verify is the one command that needs mpmath
     src = os.path.dirname(os.path.dirname(cli.__file__))
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_FOOTPRINT],
@@ -386,13 +393,15 @@ def test_count_loads_neither_mpmath_nor_numpy_random():
     )
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
+    runs = ["count", "arcs exact", "arcs model", "sweep"]
+    runs += [f"expsum {kind}" for kind in cli.EXPSUM_KINDS]
     assert doc["seen"] == {
         "import estermann": [],
         "import estermann.cli": [],
-        "count": [],
-        "arcs": ["mpmath"],  # loaded on first use, at 96 bits as before
+        **{name: [] for name in runs},
+        "verify --quick": ["mpmath"],
     }
-    assert doc["status"] == [0, 0]
-    assert doc["count"] == doc["arcs"] == 564
+    assert doc["status"] == {name: 0 for name in runs + ["verify --quick"]}
+    assert doc["count"] == 564 and doc["arcs"] == [564, 564]
     inst = build_instance(10 ** 4, "3/2", ("1/3", "1/3", "1/3"), 500)
-    assert doc["kappa"] == float(instance.derive_params(inst).kappa)
+    assert doc["kappa"] == [instance.derive_params(inst).kappa] * 2

@@ -4,14 +4,11 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from estermann.errors import IntegerExponent, MuSumNotOne, WindowTooWide
-from estermann.instance import (
-    WORKING_PRECISION,
-    build_instance,
-    derive_params,
-    hypothesis_report,
-)
+from estermann.instance import build_instance, derive_params, hypothesis_report
 
 THIRD = ("1/3", "1/3", "1/3")
 
@@ -47,18 +44,54 @@ def test_window_membership_exact():
     assert not inst.in_window(1, lo - 1) and not inst.in_window(1, hi + 1)
 
 
+def reference_params(inst) -> tuple[float, ...]:
+    """(n1, n2, n3, h3, kappa) at 200 bits, each then rounded to a double.
+
+    Shares no code with derive_params: mpmath's root and log, not integer
+    roots and a decimal log.
+    """
+    p, q, H = inst.c.p, inst.c.q, inst.H
+    with mp.workprec(200):
+
+        def real(x: Fraction):
+            return mp.mpf(x.numerator) / x.denominator
+
+        def root(x: Fraction):
+            return mp.root(real(x ** q), p)
+
+        n3 = root(inst.mu_N(3) + H)
+        h3 = n3 - root(inst.mu_N(3) - H)
+        kappa = mp.log(inst.N) ** 2 * q / (2 * p * H) if H > 0 else mp.inf
+        values = (real(inst.mu_N(1) + H), real(inst.mu_N(2) + H), n3, h3, kappa)
+        return tuple(float(v) for v in values)
+
+
+def derived_tuple(dp) -> tuple[float, ...]:
+    values = (dp.n1, dp.n2, dp.n3, dp.h3, dp.kappa)
+    assert all(type(v) is float for v in values)
+    return values
+
+
 def test_derive_params_roundtrip_ulp():
-    inst = build_instance(10 ** 6, "3/2", THIRD, 10 ** 4)
-    dp = derive_params(inst)
-    with mp.workprec(WORKING_PRECISION):
-        target = mp.mpf(10 ** 6) / 3 + 10 ** 4
-        err = abs(dp.n3 ** (mp.mpf(3) / 2) - target)
-        ulp = mp.mpf(2) ** (mp.mp.prec * -1) * target
-        assert err <= 8 * ulp
-        # kappa * 2cH = (ln N)^2 to a few ulp
-        L2 = mp.log(10 ** 6) ** 2
-        err_k = abs(dp.kappa * 2 * mp.mpf(3) / 2 * 10 ** 4 - L2)
-        assert err_k <= 4 * mp.mpf(2) ** (-mp.mp.prec) * L2
+    # every field is the double nearest its exact value, also where H3
+    # cancels about 48 and 56 bits of N3 (the last two instances)
+    for N, c, H in ((10 ** 6, "3/2", 10 ** 4), (10 ** 15, "3/2", 1), (10 ** 18, "5/3", 3)):
+        inst = build_instance(N, c, THIRD, H)
+        assert derived_tuple(derive_params(inst)) == reference_params(inst)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    N=st.integers(1, 10 ** 12),
+    c=st.sampled_from(("3/2", "5/3", "7/4", "5/2", "13/7")),
+    parts=st.tuples(st.integers(1, 12), st.integers(1, 12), st.integers(1, 12)),
+    data=st.data(),
+)
+def test_derive_params_correctly_rounded(N, c, parts, data):
+    mu = tuple(Fraction(k, sum(parts)) for k in parts)
+    H = data.draw(st.integers(0, int(min(mu) * N)), label="H")
+    inst = build_instance(N, c, mu, H)
+    assert derived_tuple(derive_params(inst)) == reference_params(inst)
 
 
 def test_derive_params_deterministic():
@@ -72,19 +105,19 @@ def test_derive_params_deterministic():
 def test_h_to_zero_limit():
     insts = [build_instance(10 ** 6, "3/2", THIRD, H) for H in (1000, 100, 10, 1, 0)]
     dps = [derive_params(i) for i in insts]
-    h3s = [float(d.h3) for d in dps]
+    h3s = [d.h3 for d in dps]
     assert all(a > b for a, b in zip(h3s, h3s[1:]))
     assert h3s[-1] == 0.0
-    with mp.workprec(WORKING_PRECISION):
+    with mp.workprec(200):
         limit = (mp.mpf(10 ** 6) / 3) ** (mp.mpf(2) / 3)
-        assert abs(dps[-1].n3 - limit) <= 1e-20 * limit
+        assert dps[-1].n3 == float(limit)
 
 
 def test_h3_leading_order_bound():
     # second-order remainder of the H3 expansion, evaluated in extended precision
     inst = build_instance(10 ** 8, "3/2", THIRD, 10 ** 5)
     dp = derive_params(inst)
-    with mp.workprec(WORKING_PRECISION):
+    with mp.workprec(96):
         # leading order 2H / (c * (mu3*N)^(1 - 1/c))
         h3_leading = 2 * mp.mpf(10 ** 5) / (mp.mpf(3) / 2 * (mp.mpf(10 ** 8) / 3) ** (mp.mpf(1) / 3))
         scale = mp.mpf(10 ** 5) ** 2 / mp.mpf(10 ** 8) ** (2 - mp.mpf(2) / 3)
