@@ -24,9 +24,33 @@ _LEVEL_NODES = 1 << 17
 _leggauss_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
+def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P_n'(x) by the three-term recurrence, for |x| < 1."""
+    p0, p1 = np.ones_like(x), x
+    for j in range(2, n + 1):
+        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+    return p1, n * (x * p1 - p0) / (x * x - 1.0)
+
+
 def leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1].
+
+    Newton's method on P_n from cos(pi (k - 1/4) / (n + 1/2)) converges in a
+    few steps; the weights are 2 / ((1 - x^2) P_n'(x)^2).  Both are then
+    made exactly symmetric.  This needs no eigenvalue solve, so neither
+    numpy.polynomial nor LAPACK is loaded.
+    """
     if n not in _leggauss_cache:
-        _leggauss_cache[n] = np.polynomial.legendre.leggauss(n)
+        x = -np.cos(np.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
+        for _ in range(10):
+            p, dp = _legendre(n, x)
+            step = p / dp
+            x = x - step
+            if np.abs(step).max() <= 2.0 ** -52:
+                break
+        _, dp = _legendre(n, x)
+        w = 2.0 / ((1.0 - x * x) * dp * dp)
+        _leggauss_cache[n] = (x - x[::-1]) / 2.0, (w + w[::-1]) / 2.0
     return _leggauss_cache[n]
 
 

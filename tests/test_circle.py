@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import random
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import estermann
+from estermann import circle
 from estermann.circle import (
     ExactIntegrand,
     ModelIntegrand,
@@ -69,7 +71,8 @@ def test_convolution_budget():
 
 
 # np.convolve answering the true pair counts with one entry off by one: the
-# checksum must catch it.  Run as a script so it can also run under -O.
+# checksum must catch it.  Run as a script so it can also run under -O.  The
+# spans (about 1000) are below the FFT crossover, so np.convolve answers.
 _OFF_BY_ONE_CONVOLVE = """
 import numpy as np
 from estermann import ConvolutionCheckFailed, build_instance, exact_convolution_count
@@ -98,6 +101,125 @@ def test_convolution_checksum_rejects_bad_entry(flags):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "raised"
+
+
+# Instances whose smaller span reaches _FFT_MIN_SPAN take the FFT path.
+FFT_INSTANCE = (10 ** 5, "3/2", THIRD, 4000)  # spans near 8000
+
+
+def _count_direct_calls(monkeypatch) -> list:
+    calls = []
+    honest = np.convolve
+
+    def counted(a, b):
+        calls.append(a.size)
+        return honest(a, b)
+
+    monkeypatch.setattr(np, "convolve", counted)
+    return calls
+
+
+def _spans(inst) -> tuple[int, int]:
+    return tuple(int(p[-1] - p[0] + 1) for p in (window_primes(inst, 1), window_primes(inst, 2)))
+
+
+def test_convolution_fft_path_oracle(monkeypatch):
+    # seeded instances up to N = 1e6 above the crossover: the FFT answers,
+    # with every check passing, and agrees with fast_count
+    calls = _count_direct_calls(monkeypatch)
+    rng = random.Random(1309)
+    mus = [THIRD, ("1/4", "1/4", "1/2"), ("2/5", "1/5", "2/5"), ("1/6", "1/3", "1/2")]
+    for _ in range(10):
+        N = round(10 ** rng.uniform(4, 6))
+        mu = rng.choice(mus)
+        h_hi = min(math.ceil(N ** 0.8), math.floor(min(map(Fraction, mu)) * N))
+        inst = build_instance(N, rng.choice(["3/2", "5/3", "7/4", "5/2"]), mu,
+                              rng.randint(1000, h_hi))
+        assert min(_spans(inst)) >= circle._FFT_MIN_SPAN
+        assert exact_convolution_count(inst) == fast_count(inst).total
+    assert calls == []
+
+
+def test_convolution_fft_path_vs_brute_force(monkeypatch):
+    calls = _count_direct_calls(monkeypatch)
+    for N, c, mu, H in [(20011, "3/2", THIRD, 1900), (54321, "5/3", ("1/4", "1/4", "1/2"), 3000),
+                        FFT_INSTANCE]:
+        inst = build_instance(N, c, mu, H)
+        assert exact_convolution_count(inst) == brute_force_count(inst).total
+    assert calls == []
+
+
+def test_convolution_fft_path_large():
+    # spans of 2e5: the direct product took about 7 s here, the FFT ~0.05 s
+    inst = build_instance(10 ** 7, "3/2", THIRD, 10 ** 5)
+    assert exact_convolution_count(inst) == fast_count(inst).total
+
+
+def test_convolution_budget_admits_direct_not_fft(monkeypatch):
+    # the FFT holds about four arrays of the padded length, more than the
+    # direct path's two indicators and their convolution
+    inst = build_instance(*FFT_INSTANCE)
+    want = fast_count(inst).total
+    calls = _count_direct_calls(monkeypatch)
+    direct = 2 * sum(_spans(inst)) - 1
+    assert exact_convolution_count(inst, mem_entries=direct) == want
+    assert len(calls) == 1
+    assert exact_convolution_count(inst) == want
+    assert len(calls) == 1
+
+
+# Faults injected into the FFT path, run as scripts so they also run under -O.
+# "one": one irfft entry off by +1.  "pair": +1 on one entry and -1 on a
+# later nonzero one, so the range and the checksum still hold and only the
+# modular identity can reject it.  Either way the direct path must answer.
+# "both": np.convolve is wrong too, so ConvolutionCheckFailed must be raised.
+_FFT_FAULT = """
+import json, sys
+import numpy as np
+from estermann import ConvolutionCheckFailed, build_instance, exact_convolution_count, fast_count
+
+fault = sys.argv[1]
+inst = build_instance(10 ** 5, "3/2", ("1/3", "1/3", "1/3"), 4000)
+calls = {"irfft": 0, "convolve": 0}
+honest_irfft, honest_convolve = np.fft.irfft, np.convolve
+
+def bad_irfft(*args, **kwargs):
+    calls["irfft"] += 1
+    out = honest_irfft(*args, **kwargs)
+    j = out.size // 3
+    out[j] += 1.0
+    if fault == "pair":
+        out[j + 1 + int(np.argmax(out[j + 1 :] > 0.5))] -= 1.0
+    return out
+
+def convolve(a, b):
+    calls["convolve"] += 1
+    out = honest_convolve(a, b)
+    if fault == "both":
+        out[out.size // 2] += 1.0
+    return out
+
+np.fft.irfft, np.convolve = bad_irfft, convolve
+try:
+    result = exact_convolution_count(inst) == fast_count(inst).total
+except ConvolutionCheckFailed:
+    result = "raised"
+print(json.dumps({"result": result, **calls}))
+"""
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)])
+@pytest.mark.parametrize("fault, result", [("one", True), ("pair", True), ("both", "raised")])
+def test_convolution_fft_fault_falls_back(fault, result, flags):
+    src = os.path.dirname(os.path.dirname(estermann.__file__))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _FFT_FAULT, fault],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"result": result, "irfft": 1, "convolve": 1}
 
 
 def test_integrand_F_alpha0():
@@ -299,6 +421,32 @@ def test_arc_report_json():
     assert doc["exact_total"] == rep.exact_total
     assert doc["I_major"] == [rep.I_major.real, rep.I_major.imag]
     assert doc["arc_split"] is True
+
+
+# The keys of ArcReport.to_dict(), in order, as they were when every value
+# was a stored field.
+ARC_REPORT_KEYS = [
+    "mode", "tol", "kappa", "arc_split", "I_major", "I_minor_plus", "I_minor_minus",
+    "exact_total", "model_major", "main_term", "additivity_error",
+    "ratio_exact_to_main", "ratio_major_to_model", "achieved_error", "n_evals",
+]
+
+
+@pytest.mark.parametrize("mode", ["exact", "model"])
+@pytest.mark.parametrize("H", [100, 10])  # kappa < 1/2, and kappa >= 1/2
+def test_arc_report_derived_values(mode, H):
+    rep = integrate_arcs(build_instance(500, "3/2", THIRD, H), mode=mode, tol=1e-6)
+    assert not hasattr(rep, "__dict__")
+    assert list(rep.to_dict()) == ARC_REPORT_KEYS
+    # each derived value by the expression integrate_arcs stored before
+    I_minus = rep.I_minor_plus.conjugate()
+    arc_sum = rep.I_major + rep.I_minor_plus + I_minus
+    assert rep.arc_split == (rep.kappa < 0.5) == (H == 100)
+    assert rep.I_minor_minus == I_minus
+    assert rep.additivity_error == abs(arc_sum.real - rep.exact_total)
+    assert rep.ratio_exact_to_main == rep.exact_total / rep.main_term
+    assert rep.ratio_major_to_model == rep.I_major.real / rep.model_major
+    assert rep.to_dict()["I_minor_minus"] == [I_minus.real, I_minus.imag]
 
 
 # ---------------------------------------------------------------- J(H)

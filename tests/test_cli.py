@@ -147,6 +147,22 @@ def test_arcs_command(capsys):
     assert "hypotheses" in doc and "cond_H" in doc["hypotheses"]
 
 
+@pytest.mark.parametrize("mode", ["exact", "model"])
+def test_arcs_json_keys(mode, capsys):
+    status, out = run_cli(
+        ["arcs", "--N", "500", "--c", "3/2", "--mu", "1/3,1/3,1/3", "--H", "100",
+         "--mode", mode],
+        capsys,
+    )
+    assert status == 0
+    assert list(json.loads(out)) == [
+        "I_major", "I_minor_minus", "I_minor_plus", "achieved_error", "additivity_error",
+        "arc_split", "config", "exact_total", "hypotheses", "kappa", "main_term",
+        "mode", "model_major", "n_evals", "ratio_exact_to_main", "ratio_major_to_model",
+        "tol",
+    ]
+
+
 def test_arcs_derives_params_once(capsys, monkeypatch):
     calls = []
     original = instance.derive_params
@@ -352,7 +368,7 @@ import io, json, sys
 from contextlib import redirect_stdout
 
 def heavy():
-    return sorted(m for m in ("mpmath", "numpy.random") if m in sys.modules)
+    return sorted(m for m in ("mpmath", "numpy.polynomial", "numpy.random") if m in sys.modules)
 
 status, seen, docs = {}, {}, {}
 
@@ -382,8 +398,9 @@ print(json.dumps({"seen": seen, "status": status, "count": docs["count"]["total"
 
 
 def test_count_loads_neither_mpmath_nor_numpy_random():
-    # count, arcs (both modes), sweep and every expsum kind load neither
-    # mpmath nor numpy.random; verify is the one command that needs mpmath
+    # count, arcs (both modes), sweep and every expsum kind load none of
+    # mpmath, numpy.polynomial and numpy.random; verify is the one command
+    # that needs mpmath
     src = os.path.dirname(os.path.dirname(cli.__file__))
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_FOOTPRINT],
