@@ -10,7 +10,6 @@ window 2 and counts the partners that are prime with one gather.
 from __future__ import annotations
 
 import io
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -90,14 +89,24 @@ def brute_force_count(
     """
     if inst.N > oracle_limit:
         raise OracleLimitExceeded(f"N={inst.N} exceeds oracle limit {oracle_limit}")
-    p1s = [int(p) for p in window_primes(inst, 1) if inst.in_window(1, int(p))]
-    p2s = [int(p) for p in window_primes(inst, 2) if inst.in_window(2, int(p))]
+    p1s = [p for p in window_primes(inst, 1).tolist() if inst.in_window(1, p)]
+    p2s = np.array(
+        [p for p in window_primes(inst, 2).tolist() if inst.in_window(2, p)], dtype=np.int64
+    )
     n_range, values = admissible_floor_values(inst)
-    pair_sums = Counter()
+    (lo1, hi1), (lo2, hi2) = inst.window(1), inst.window(2)
+    # pair_sums[s - base] counts the ordered pairs with p1 + p2 = s
+    base = lo1 + lo2
+    pair_sums = np.zeros(max(hi1 + hi2 - base + 1, 0), dtype=np.int64)
     for p1 in p1s:
-        for p2 in p2s:
-            pair_sums[p1 + p2] += 1
-    return _breakdown(n_range, values, [pair_sums[inst.N - int(v)] for v in values])
+        # one row of pairs at once: p2s is strictly increasing, so the row's
+        # indices are distinct and += adds one for each pair
+        pair_sums[p1 + p2s - base] += 1
+    r_values = []
+    for v in values.tolist():
+        k = inst.N - v - base
+        r_values.append(int(pair_sums[k]) if 0 <= k < len(pair_sums) else 0)
+    return _breakdown(n_range, values, r_values)
 
 
 def fast_count(

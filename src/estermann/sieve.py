@@ -8,7 +8,6 @@ Base primes up to sqrt(b) are cached process-wide and reused across segments.
 from __future__ import annotations
 
 import math
-import threading
 
 import numpy as np
 
@@ -18,7 +17,6 @@ from .errors import MemoryBudgetExceeded
 DEFAULT_SEGMENT_ENTRIES = 1 << 22
 MIN_SEGMENT_ENTRIES = 1 << 10
 
-_base_lock = threading.Lock()
 _base_primes: np.ndarray = np.array([2, 3, 5, 7, 11, 13], dtype=np.int64)
 _base_limit: int = 13
 
@@ -39,10 +37,8 @@ def base_primes(limit: int) -> np.ndarray:
     global _base_primes, _base_limit
     if limit <= _base_limit:
         return _base_primes[: np.searchsorted(_base_primes, limit, side="right")]
-    with _base_lock:
-        if limit > _base_limit:
-            _base_primes = _simple_sieve(max(limit, 2 * _base_limit))
-            _base_limit = int(max(limit, 2 * _base_limit))
+    _base_primes = _simple_sieve(max(limit, 2 * _base_limit))
+    _base_limit = int(max(limit, 2 * _base_limit))
     return base_primes(limit)
 
 

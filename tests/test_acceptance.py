@@ -204,9 +204,17 @@ def test_criterion_6_prime_density_band():
 
 
 def test_criterion_7_floor_arithmetic_exactness():
+    # k = floor(n^(p/q)) exactly when k^q <= n^p < (k+1)^q, in Python integers
     for ctext in EXPONENTS:
         c = RationalExponent.parse(ctext)
         for n in range(1, 10 ** 5 + 1):
+            k = floor_pow(n, c)
+            assert k ** c.q <= n ** c.p < (k + 1) ** c.q, f"n={n} c={ctext}"
+    # the 256-bit oracle on a seeded sample per exponent
+    sample_rng = random.Random(7)
+    for ctext in EXPONENTS:
+        c = RationalExponent.parse(ctext)
+        for n in sample_rng.sample(range(1, 10 ** 5 + 1), 2000):
             assert floor_pow(n, c) == floor_pow_float_oracle(n, c), f"n={n} c={ctext}"
     rng = random.Random(777)
     trips = 0
@@ -225,7 +233,8 @@ def test_criterion_7_floor_arithmetic_exactness():
     record_acceptance(
         "7 floor arithmetic exactness",
         True,
-        f"floor_pow matches 256-bit oracle for n <= 1e5 x {len(EXPONENTS)} exponents; "
+        f"floor_pow meets k^q <= n^p < (k+1)^q for n <= 1e5 x {len(EXPONENTS)} exponents "
+        f"and the 256-bit oracle on 2000 of them each; "
         f"{trips} inversion round-trips",
     )
 

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from estermann.arith import floor_pow
 from estermann.circle import exact_convolution_count
 from estermann.counting import (
+    CountBreakdown,
     admissible_floor_values,
     brute_force_count,
     fast_count,
@@ -71,6 +73,33 @@ def test_random_oracle_agreement():
         assert b.total == f.total
         assert b.per_n == f.per_n
         assert b.n_range == f.n_range
+
+
+def _counter_brute_force(inst) -> CountBreakdown:
+    """brute_force_count's tally one pair at a time in a Counter: the reference."""
+    p1s = [int(p) for p in window_primes(inst, 1) if inst.in_window(1, int(p))]
+    p2s = [int(p) for p in window_primes(inst, 2) if inst.in_window(2, int(p))]
+    n_range, values = admissible_floor_values(inst)
+    pair_sums = Counter()
+    for p1 in p1s:
+        for p2 in p2s:
+            pair_sums[p1 + p2] += 1
+    n_lo = n_range[0] if n_range else 0
+    per_n = tuple((n_lo + i, int(v), pair_sums[inst.N - int(v)]) for i, v in enumerate(values))
+    return CountBreakdown(total=sum(r for _, _, r in per_n), per_n=per_n, n_range=n_range)
+
+
+def test_brute_force_rows_match_counter_reference():
+    rng = random.Random(12)
+    instances = list(random_instances(30, rng, n_max=4000))
+    instances += [
+        build_instance(10 ** 4, "3/2", ("1/3", "1/3", "1/3"), 0),  # H = 0: empty windows
+        build_instance(9000, "5/3", ("1/3", "1/3", "1/3"), 0),  # H = 0: one integer each
+        build_instance(100, "3/2", ("1/4", "3/10", "9/20"), 1),  # window 1 holds no prime
+        build_instance(1000, "13/7", ("1/4", "1/4", "1/2"), 3),  # window 3 holds no v
+    ]
+    for inst in instances:
+        assert brute_force_count(inst) == _counter_brute_force(inst)
 
 
 def test_total_monotone_in_H():

@@ -34,7 +34,7 @@ C32 = RationalExponent(3, 2)
 
 
 def test_phase_reducer_rational_exact():
-    r = PhaseReducer(0, (3, 8))
+    r = PhaseReducer(3 / 8)
     v = np.array([1, 2, 3, 4, 8, 10 ** 12], dtype=np.int64)
     got = r.frac(v)
     want = [(3 * int(x) % 8) / 8 for x in v]
@@ -54,11 +54,34 @@ def test_phase_reducer_float_matches_bigint():
         assert np.minimum(diff, 1 - diff).max() <= 1e-12
 
 
+def _assert_within_2_52(alpha: float, v: list[int]) -> None:
+    # distance mod 1, in exact rationals, from frac of the double alpha times v
+    got = PhaseReducer(alpha).frac(np.array(v, dtype=np.int64))
+    assert np.all((got >= 0) & (got < 1))
+    num, den = alpha.as_integer_ratio()
+    for g, x in zip(got.tolist(), v):
+        d = Fraction(g) - Fraction(num * x % den, den)
+        assert abs(d - round(d)) <= Fraction(1, 2 ** 52), (alpha, x, g)
+
+
+def test_phase_reducer_within_2_52_of_exact():
+    rng = random.Random(52)
+    # alpha * max(v) just under 2^20: a plain double product is off by ~2^-33
+    for alpha in (0.3, 0.123456789, 1 / 3, 0.4999):
+        top = int(2 ** 20 / alpha)
+        _assert_within_2_52(alpha, [top - rng.randrange(1000) for _ in range(500)])
+    # a small alpha whose rest term reaches 1/4 turn near v = 2^62
+    _assert_within_2_52(1e-12, [2 ** 62 - rng.randrange(2 ** 40) for _ in range(500)])
+    # negative alpha and alpha > 1
+    for alpha in (-0.3, -1e-7, 7.3, 1.0 + 2 ** -40):
+        _assert_within_2_52(alpha, [rng.randrange(2 ** 62) for _ in range(500)])
+    # (m*v) mod 2^64 = 2^64 - 1 rounds to 2^64 as a double; the result stays below 1
+    _assert_within_2_52((2 ** 53 - 1) / 2 ** 64, [2 ** 53 + 1])
+
+
 def test_phase_reducer_fraction():
     r = PhaseReducer(0.25)
     assert r.frac_fraction(Fraction(10, 3)) == pytest.approx((0.25 * 10 / 3) % 1.0, abs=1e-15)
-    rr = PhaseReducer(0, (1, 3))
-    assert rr.frac_fraction(Fraction(9, 2)) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_sinc_series_branch():
@@ -116,11 +139,10 @@ def test_conjugate_symmetry_float_path():
 
 def test_periodicity_rational_grid_exact():
     values = floor_pow_values(3101, 4000, C32)
-    M = 2048
     for j in (5, 333, 1023):
-        a = char_sum(0, values, reducer=PhaseReducer(0, (j, M)))
-        b = char_sum(0, values, reducer=PhaseReducer(0, (j + M, M)))
-        assert a == b  # bit-identical: reduction is exact integer arithmetic
+        a = char_sum(j / 2048, values)
+        b = char_sum((j + 2048) / 2048, values)
+        assert a == b  # bit-identical: both are exact doubles with the same m mod 2^64
 
 
 @settings(max_examples=150, deadline=None)

@@ -191,11 +191,12 @@ def test_batched_integrand_matches_per_node_sums(N, H):
             for a in alphas.tolist()
         ]
     )
-    # the referee reduces a phase alpha*v <= 2^20 in a double, off by at most
-    # 2^-33 turns, so each unit term by 2*pi*2^-33 < 7.4e-10, and the product
-    # by 3 * 7.4e-10 * |P1||P2||V| (+ the same for e(-alpha N)); where the sums
-    # cancel, |ref| is far below that, so the bound is absolute
-    assert np.all(np.abs(batched - ref) <= 3e-9 * len(f.p1) * len(f.p2) * len(f.values))
+    # the referee's phases are within 1.5 * 2^-52 turn of exact, which adds
+    # 2*pi times that per unit term of each of the three sums to the a-priori
+    # bound of the centred integrand
+    sizes = (len(f.p1), len(f.p2), len(f.values))
+    bound = centred_bound(H, sizes) + 3 * 2 * math.pi * 1.5 * 2.0 ** -52 * math.prod(sizes)
+    assert np.all(np.abs(batched - ref) <= bound)
     # a node's value does not depend on the batch it arrives in
     pieces = np.concatenate([f(part) for part in np.array_split(alphas, 7)])
     assert np.array_equal(pieces, batched)
