@@ -28,23 +28,8 @@ from .counting import (
     window_primes,
 )
 from .errors import ConvolutionCheckFailed, MemoryBudgetExceeded
-from .instance import DerivedParams, ProblemInstance, derive_params
-from .quadrature import adaptive_complex, uniform_edges
-
-# A panel spans this many periods of the top frequency.  numpy's order-32
-# Gauss-Legendre rule integrates e(k*alpha) over a panel of up to P periods
-# with an error, relative to the panel width, of at most 1.7e-15 at P = 8,
-# 9.2e-15 at P = 10 and 1.8e-10 at P = 12.  At 10 the whole-vs-halves
-# estimate splits no panel for tol >= 1e-12, and the accepted value comes
-# from the two 5-period halves, which stay at machine precision.
-_PERIODS_PER_PANEL = 10.0
-# Model-mode minor-arc panels start at this many periods and then widen with
-# the decay of the sinc envelope, past what the rule resolves, where only the
-# whole-vs-halves estimate guards the value.  On 150 random instances at
-# tol = 1e-10, a 10-period start missed the tolerance on 8 of the 300 arcs
-# and a 4-period start on 3.
-_GRADED_BASE_PERIODS = 4.0
-_PANEL_ORDER = 32
+from .instance import DerivedParams, ProblemInstance, derive_params, log_centres
+from .quadrature import adaptive_complex, panel_edges
 
 
 class ExactIntegrand:
@@ -149,9 +134,19 @@ class ModelIntegrand:
 
     def __init__(self, inst: ProblemInstance, dp: DerivedParams):
         self.H = inst.H
-        self.amp = (2.0 * inst.H) ** 2 * dp.h3 / (
-            math.log(inst.mu_N(1)) * math.log(inst.mu_N(2))
-        )
+        log1, log2 = log_centres(inst)
+        self.amp = (2.0 * inst.H) ** 2 * dp.h3 / (log1 * log2)
+
+    def integral(self, a: float, b: float) -> float:
+        """The integral over [a, b], 0 < a <= b, in closed form (H > 0).
+
+        With u = 2 pi H alpha it is amp/(2 pi H) times the integral of
+        sin(u)^3/u^3 over [2 pi H a, 2 pi H b], taken as a difference of two
+        tails, which stays accurate to about 1e-16 / (2 pi H a) of the peak
+        however far out the interval lies.
+        """
+        z = 2.0 * math.pi * self.H
+        return self.amp / z * (sin3_tail(z * a) - sin3_tail(z * b))
 
     def __call__(self, alphas: np.ndarray) -> np.ndarray:
         z = 2.0 * np.pi * np.asarray(alphas, dtype=np.float64) * self.H
@@ -426,39 +421,26 @@ _ARC_REPORT_KEYS = (
 
 
 def model_major_value(inst: ProblemInstance, dp: Optional[DerivedParams] = None) -> float:
-    """Closed-form major-arc value 3*H*H3 / (2 ln(mu1 N) ln(mu2 N))."""
+    """Closed-form major-arc value 3*H*H3 / (2 ln(mu1 N) ln(mu2 N)).
+
+    Raises ValueError unless mu_k N > 1 for k = 1, 2.
+    """
+    log1, log2 = log_centres(inst)
     if dp is None:
         dp = derive_params(inst)
-    return (
-        3.0
-        * inst.H
-        * dp.h3
-        / (2.0 * math.log(inst.mu_N(1)) * math.log(inst.mu_N(2)))
-    )
+    return 3.0 * inst.H * dp.h3 / (2.0 * log1 * log2)
 
 
 def main_term_value(inst: ProblemInstance) -> float:
-    """Asymptotic main term 3*H^2 / (c * (mu3 N)^(1 - 1/c) * (ln N)^2)."""
+    """Asymptotic main term 3*H^2 / (c * (mu3 N)^(1 - 1/c) * (ln N)^2).
+
+    Raises ValueError unless mu_k N > 1 for k = 1, 2, which gives ln N > 0.
+    """
+    log_centres(inst)
     L = math.log(inst.N)
     cf = float(inst.c)
     mu3N = float(inst.mu_N(3))
     return 3.0 * inst.H ** 2 / (cf * mu3N ** (1.0 - 1.0 / cf) * L * L)
-
-
-def _graded_edges(a: float, b: float, base: float, H: int) -> list[float]:
-    """Edges on [a, b] with width growing like 1 + 2H*(x - a) away from a.
-
-    Matches the sinc oscillation scale 1/(2H) near the arc boundary and
-    coarsens (capped at 32 times the base) where the envelope has decayed;
-    the adaptive pass re-splits any panel the grading left too wide.
-    """
-    edges = [a]
-    x = a
-    while x < b:
-        w = base * min(1.0 + 2.0 * H * (x - a), 32.0)
-        x = min(b, x + w)
-        edges.append(x)
-    return edges
 
 
 def integrate_arcs(
@@ -470,22 +452,27 @@ def integrate_arcs(
     mem_entries: int = DEFAULT_MEM_ENTRIES,
     dp: Optional[DerivedParams] = None,
 ) -> ArcReport:
-    """Quadrature of F(alpha)e(-alpha N) over the major and two minor arcs.
+    """The integrals of F(alpha)e(-alpha N) over the major and two minor arcs.
 
     With k = min(kappa, 1/2), only [0, k] and [k, 1/2] are integrated; the
     integrand's conjugate symmetry gives I_major = 2 Re of the first and
     I_minor_minus = conj(I_minor_plus).  When kappa >= 1/2 the second
     interval is empty: I_major is the full integral and both minor integrals
-    are zero.  achieved_error counts each half's error estimate twice, for
-    the half it stands for; n_evals counts the quadrature's integrand
-    evaluations, which are made once each.  Exact mode also computes the
-    convolution count, whose agreement with Re(sum of the three integrals) is
-    the additivity cross-check.  dp, when given, must be derive_params(inst).
+    are zero.  Quadrature panels span at most ten periods of the top
+    frequency (quadrature.panel_edges).  In model mode the minor arc is the
+    closed form ModelIntegrand.integral, so achieved_error and n_evals count
+    the major arc only.  achieved_error counts each half's error estimate
+    twice, for the half it stands for; n_evals counts the quadrature's
+    integrand evaluations, which are made once each.  Exact mode also
+    computes the convolution count, whose agreement with Re(sum of the three
+    integrals) is the additivity cross-check.  dp, when given, must be
+    derive_params(inst).  Raises ValueError unless mu_k N > 1 for k = 1, 2.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if dp is None:
         dp = derive_params(inst)
+    model_major = model_major_value(inst, dp)  # checks mu_k N > 1 before any work
     kappa = dp.kappa
 
     if mode == "exact":
@@ -502,23 +489,17 @@ def integrate_arcs(
     peak = abs(complex(integrand(np.array([0.0]))[0]))
     scale = max(peak, 1.0)
     k = min(kappa, 0.5)
-    width = _PERIODS_PER_PANEL / fmax
 
-    def run(edges) -> tuple[complex, float, int]:
-        return adaptive_complex(
-            integrand,
-            edges,
-            abs_tol=tol * scale * (edges[-1] - edges[0]),
-            order=_PANEL_ORDER,
-        )
+    def run(a: float, b: float) -> tuple[complex, float, int]:
+        edges = panel_edges(a, b, fmax)
+        return adaptive_complex(integrand, edges, abs_tol=tol * scale * (b - a))
 
-    if mode == "model":
-        minor_edges = _graded_edges(k, 0.5, _GRADED_BASE_PERIODS / fmax, inst.H)
+    I_half, e_major, n_major = run(0.0, k)
+    if mode == "exact":
+        I_plus, e_plus, n_plus = run(k, 0.5)
     else:
-        # the exact integrand keeps full bandwidth on the minor arcs
-        minor_edges = uniform_edges(k, 0.5, int(math.ceil((0.5 - k) / width)))
-    I_half, e_major, n_major = run(uniform_edges(0.0, k, int(math.ceil(k / width))))
-    I_plus, e_plus, n_plus = run(minor_edges)
+        I_plus = complex(integrand.integral(k, 0.5)) if k < 0.5 else 0j
+        e_plus = n_plus = 0
     return ArcReport(
         mode=mode,
         tol=tol,
@@ -526,7 +507,7 @@ def integrate_arcs(
         I_major=complex(2.0 * I_half.real, 0.0),
         I_minor_plus=I_plus,
         exact_total=exact_total,
-        model_major=model_major_value(inst, dp),
+        model_major=model_major,
         main_term=main_term_value(inst),
         achieved_error=2.0 * (e_major + e_plus),
         n_evals=n_major + n_plus,
@@ -543,6 +524,46 @@ def sine_power_integral(n: int) -> float:
     return math.pi * total / (2 ** n * math.factorial(n - 1))
 
 
+# Si is summed as its power series up to here and taken from the continued
+# fraction of E1(ix) beyond it.
+_SI_SERIES_MAX = 2.0
+
+
+def sine_integral(x: float) -> tuple[float, float]:
+    """Si(x) and Si(x) - pi/2 for x >= 0, each without cancellation.
+
+    Up to x = 2, Si is the power series, the sum over j of
+    (-1)^j x^(2j+1) / ((2j+1) (2j+1)!), whose largest term is below 2, so it
+    stays within a few ulp.  Beyond it,
+    Si(x) - pi/2 is the imaginary part of E1(ix) = e^(-ix) / (ix + 1 - 1/(ix
+    + 3 - 4/(ix + 5 - ...))) (Numerical Recipes, section 6.8), and so is
+    small where Si(x) - pi/2 is, not a difference of two numbers near pi/2.
+    The fraction is evaluated from the bottom up, which holds its rounding
+    error to a few ulp, and its depth is doubled until the value settles.
+    """
+    if x <= _SI_SERIES_MAX:
+        x2 = x * x
+        power, total, k = x, x, 1  # power = (-1)^j x^k / k!, k = 2j + 1
+        while True:
+            power *= -x2 / ((k + 1) * (k + 2))
+            k += 2
+            term = power / k
+            total += term
+            if abs(term) <= 2.0 ** -56 * total:
+                return total, total - 0.5 * math.pi
+    z = complex(0.0, x)
+    depth, previous = 8, 0j
+    while True:
+        t = z + (2 * depth + 1)
+        for i in range(depth, 0, -1):
+            t = z + (2 * i - 1) - i * i / t
+        if abs(t - previous) <= 2.0 ** -53 * abs(t):
+            break
+        depth, previous = 2 * depth, t
+    shifted = (complex(math.cos(x), -math.sin(x)) / t).imag
+    return 0.5 * math.pi + shifted, shifted
+
+
 def sin3_integral(T: float) -> float:
     """integral of sin(u)^3/u^3 du over [0, T], in closed form.
 
@@ -556,11 +577,24 @@ def sin3_integral(T: float) -> float:
     if T < 1e-3:
         T2 = T * T
         return T * (1.0 - T2 / 6.0 + (13.0 / 600.0) * T2 * T2)
-    import mpmath as mp  # here, not at module level: count never loads mpmath
-
     s, c = math.sin(T), math.cos(T)
-    si = 9.0 * float(mp.si(3.0 * T)) - 3.0 * float(mp.si(T))
+    si = 9.0 * sine_integral(3.0 * T)[0] - 3.0 * sine_integral(T)[0]
     return -s ** 3 / (2.0 * T * T) - 3.0 * s * s * c / (2.0 * T) + si / 8.0
+
+
+def sin3_tail(T: float) -> float:
+    """integral of sin(u)^3/u^3 du over [T, inf), for T > 0, in closed form.
+
+    3 pi/8 - I(T) = sin^3 T/(2T^2) + 3 sin^2 T cos T/(2T)
+    - (9 (Si(3T) - pi/2) - 3 (Si(T) - pi/2))/8, with Si - pi/2 taken
+    directly, so the error stays near 1e-16 / T while the tail falls like
+    1/T^3.  Below T = 1e-3 the tail is 3 pi/8 - I(T), which cancels nothing.
+    """
+    if T < 1e-3:
+        return 3.0 * math.pi / 8.0 - sin3_integral(T)
+    s, c = math.sin(T), math.cos(T)
+    si = 9.0 * sine_integral(3.0 * T)[1] - 3.0 * sine_integral(T)[1]
+    return s ** 3 / (2.0 * T * T) + 3.0 * s * s * c / (2.0 * T) - si / 8.0
 
 
 @dataclass(frozen=True)

@@ -40,14 +40,6 @@ def _as_fraction(x: RationalLike) -> Fraction:
     raise TypeError(f"expected rational, got {type(x).__name__}")
 
 
-def _interval_floor(x: Fraction) -> int:
-    return x.numerator // x.denominator
-
-
-def _interval_ceil(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
 @dataclass(frozen=True)
 class ProblemInstance:
     """Validated parameter bundle (N, c, mu1..mu3, H)."""
@@ -64,7 +56,7 @@ class ProblemInstance:
     def window(self, k: int) -> tuple[int, int]:
         """Inclusive integer interval [mu_k*N - H, mu_k*N + H], k in {1,2,3}."""
         center = self.mu_N(k)
-        return (_interval_ceil(center - self.H), _interval_floor(center + self.H))
+        return (math.ceil(center - self.H), math.floor(center + self.H))
 
     def in_window(self, k: int, m: int) -> bool:
         """Exact membership test |m - mu_k*N| <= H."""
@@ -155,6 +147,20 @@ def derive_params(inst: ProblemInstance) -> DerivedParams:
     )
 
 
+def log_centres(inst: ProblemInstance) -> tuple[float, float]:
+    """ln(mu1 N) and ln(mu2 N), which the main terms divide by.
+
+    Raises ValueError unless mu_k N > 1 for k = 1, 2.  Since mu1 + mu2 < 1,
+    that also gives N >= 3, so ln N > 0 and ln ln N > 0.
+    """
+    if not (inst.mu_N(1) > 1 and inst.mu_N(2) > 1):
+        raise ValueError(
+            f"the main terms need mu_k N > 1, k = 1, 2; got mu1 N = {inst.mu_N(1)} "
+            f"and mu2 N = {inst.mu_N(2)}"
+        )
+    return math.log(inst.mu_N(1)), math.log(inst.mu_N(2))
+
+
 @dataclass(frozen=True)
 class Condition:
     holds: bool
@@ -193,7 +199,11 @@ _C_LOWER_NOTE = (
 def hypothesis_report(
     inst: ProblemInstance, dp: Optional[DerivedParams] = None
 ) -> HypothesisReport:
-    """Evaluate every named regime condition with both sides reported."""
+    """Evaluate every named regime condition with both sides reported.
+
+    Raises ValueError unless mu_k N > 1 for k = 1, 2.
+    """
+    log_centres(inst)  # the logarithms below need N >= 3 and mu_k N > 1
     N, H, c = inst.N, inst.H, inst.c
     L = math.log(N)
     lnL = math.log(L)

@@ -1,21 +1,35 @@
 """Adaptive Gauss-Legendre panel integration for complex-valued integrands.
 
-Panels refine by bisection; a panel is accepted when its whole-vs-halves
-discrepancy fits its proportional share of the absolute error budget.  All
-pending panels of one refinement level are assessed together: their whole,
-left-half and right-half Gauss nodes form one flat 1-D array, the integrand
-is called once on it (on consecutive slices of it past _LEVEL_NODES nodes),
-and the panel sums, error estimates and accept/split decisions are array
-operations.  The accepted contributions are summed in interval order.
+One rule sizes the panels of every oscillating integral in the package:
+panel_edges gives panels of at most _PERIODS_PER_PANEL periods of a stated
+top frequency, and adaptive_complex integrates each with a Gauss-Legendre
+rule of order _PANEL_ORDER.  Panels refine by bisection; a panel is accepted
+when its whole-vs-halves discrepancy fits its proportional share of the
+absolute error budget.  All pending panels of one refinement level are
+assessed together: their whole, left-half and right-half Gauss nodes form
+one flat 1-D array, the integrand is called once on it (on consecutive
+slices of it past _LEVEL_NODES nodes), and the panel sums, error estimates
+and accept/split decisions are array operations.  The accepted
+contributions are summed in interval order.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ToleranceNotMet
+
+# A panel spans at most this many periods of the top frequency.  numpy's
+# order-32 Gauss-Legendre rule integrates e(k*alpha) over a panel of up to P
+# periods with an error, relative to the panel width, of at most 1.7e-15 at
+# P = 8, 9.2e-15 at P = 10 and 1.8e-10 at P = 12.  At 10 the whole-vs-halves
+# estimate splits no panel for tol >= 1e-12, and the accepted value comes
+# from the two 5-period halves, which stay at machine precision.
+_PERIODS_PER_PANEL = 10.0
+_PANEL_ORDER = 32
 
 # Larger levels are evaluated in consecutive slices of whole panels, so the
 # node and value arrays stay bounded whatever the panel count.
@@ -59,12 +73,13 @@ def adaptive_complex(
     edges: Sequence[float],
     abs_tol: float,
     *,
-    order: int = 24,
+    order: int = _PANEL_ORDER,
     max_depth: int = 16,
     eval_budget: int = 50_000_000,
 ) -> tuple[complex, float, int]:
     """Integrate f over the partition given by edges.
 
+    The default order is the panel rule's, for edges from panel_edges.
     Returns (value, error_estimate, evaluation_count); each refinement level
     costs 3 * order evaluations per pending panel.  Raises ToleranceNotMet
     when the budget runs out before the estimate fits.
@@ -127,3 +142,14 @@ def adaptive_complex(
 
 def uniform_edges(a: float, b: float, n_panels: int) -> np.ndarray:
     return np.linspace(a, b, max(1, n_panels) + 1)
+
+
+def panel_edges(a: float, b: float, top_frequency: float) -> np.ndarray:
+    """Equal panels on [a, b], each at most _PERIODS_PER_PANEL periods long.
+
+    A period is 1/top_frequency; a top frequency of 0 gives one panel.
+    """
+    if top_frequency <= 0:
+        return uniform_edges(a, b, 1)
+    width = _PERIODS_PER_PANEL / top_frequency
+    return uniform_edges(a, b, math.ceil((b - a) / width))

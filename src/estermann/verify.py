@@ -22,6 +22,7 @@ from .circle import (
     integrate_arcs,
     main_term_value,
     sin3_integral,
+    sine_integral,
     sine_power_integral,
     singular_integral_J,
 )
@@ -229,6 +230,21 @@ def check_quadrature_selftest(quick: bool) -> Check:
     return ("quadrature_selftest", True, "linear kernel, sin^3 tail, and J(H) within bands")
 
 
+def check_si_oracle(quick: bool) -> Check:
+    # sine_integral against mpmath's Si at 30 digits on 21 points from 1e-4
+    # to 1e6: Si to 4 ulp, and Si - pi/2 to 1e-16 beyond the series range
+    eps = np.finfo(float).eps
+    with mp.workdps(30):
+        for x in np.geomspace(1e-4, 1e6, 21).tolist():
+            si, shifted = sine_integral(x)
+            want = mp.si(x)
+            if abs(si - float(want)) > 4 * eps * float(want):
+                return ("si_oracle", False, f"Si({x:.6g}) = {si!r}, mpmath {float(want)!r}")
+            if x > 2.0 and abs(shifted - float(want - mp.pi / 2)) > 1e-16:
+                return ("si_oracle", False, f"Si({x:.6g}) - pi/2 off by more than 1e-16")
+    return ("si_oracle", True, "Si within 4 ulp and Si - pi/2 within 1e-16 of mpmath")
+
+
 def check_symmetry_periodicity(quick: bool) -> Check:
     values = floor_pow_values(3101, 4000, RationalExponent(3, 2))
     for j in (3, 17, 101):
@@ -316,6 +332,7 @@ ALL_CHECKS: list[Callable[[bool], Check]] = [
     check_orthogonality,
     check_sinc_limits,
     check_quadrature_selftest,
+    check_si_oracle,
     check_symmetry_periodicity,
     check_phase_reducer,
     check_main_term,

@@ -22,6 +22,8 @@ from estermann.circle import (
     main_term_value,
     model_major_value,
     sin3_integral,
+    sin3_tail,
+    sine_integral,
     sine_power_integral,
     singular_integral_J,
 )
@@ -313,7 +315,7 @@ def test_arcs_mirror_vs_negative_half_quadrature(N, c, mu, h_frac, mode):
 
     def direct(a, b):
         edges = uniform_edges(a, b, math.ceil((b - a) * fmax / 2.0))
-        return adaptive_complex(f, edges, tol * scale * (b - a))[0]
+        return adaptive_complex(f, edges, tol * scale * (b - a), order=24)[0]
 
     assert abs(rep.I_major - direct(-k, k)) <= tol * scale * 2 * k
     if rep.arc_split:
@@ -364,7 +366,7 @@ def test_exact_arcs_vs_direct_sum_referee(N, c, mu, H):
 
     def arc(a, b):
         edges = uniform_edges(a, b, max(1, math.ceil((b - a) * fmax)))
-        return adaptive_complex(F, edges, abs_tol * (b - a))[0]
+        return adaptive_complex(F, edges, abs_tol * (b - a), order=24)[0]
 
     # each side meets 1e-10 of the peak |P1||P2||V| times the arc length
     rep = integrate_arcs(inst, mode="exact", tol=1e-10)
@@ -372,6 +374,45 @@ def test_exact_arcs_vs_direct_sum_referee(N, c, mu, H):
     assert abs(rep.I_major - arc(-k, k)) <= bound
     want_plus = arc(k, 0.5) if k < 0.5 else 0
     assert abs(rep.I_minor_plus - want_plus) <= bound
+
+
+def _crosscheck_style_instances(count: int, seed: int):
+    """Instances drawn as the crosscheck benchmark draws them: N log-uniform
+    in [1e3, 1e5], mu_k = a/(2d), H between sqrt(N) and N^0.8."""
+    rng = random.Random(seed)
+    while count:
+        N = round(10 ** rng.uniform(3, 5))
+        d1, d2 = rng.randint(2, 9), rng.randint(2, 9)
+        mu1 = Fraction(rng.randint(1, d1 - 1), 2 * d1)
+        mu2 = Fraction(rng.randint(1, d2 - 1), 2 * d2)
+        mu = (mu1, mu2, 1 - mu1 - mu2)
+        h_lo, h_hi = math.ceil(N ** 0.5), min(math.ceil(N ** 0.8), math.floor(min(mu) * N))
+        if mu[2] <= 0 or h_hi < h_lo:
+            continue
+        count -= 1
+        yield build_instance(N, rng.choice(["3/2", "5/3", "7/4", "5/2"]), mu,
+                             rng.randint(h_lo, h_hi))
+
+
+# The graded minor-arc panels once missed tol = 1e-10 by 3.84x on the first.
+MODEL_MINOR_CASES = [
+    build_instance(7710, "7/4", ("1/4", "1/3", "5/12"), 1014),
+    *_crosscheck_style_instances(12, seed=31),
+]
+
+
+@pytest.mark.parametrize("inst", MODEL_MINOR_CASES, ids=lambda i: f"N{i.N}-H{i.H}")
+def test_model_minor_arc_meets_tight_tol(inst):
+    # the closed form against one-period panels of an order-24 rule
+    tol = 1e-10
+    rep = integrate_arcs(inst, mode="model", tol=tol)
+    f = ModelIntegrand(inst, derive_params(inst))
+    k = rep.kappa
+    assert k < 0.5
+    edges = uniform_edges(k, 0.5, math.ceil((0.5 - k) * 3 * inst.H))
+    want = adaptive_complex(f, edges, 1e-14 * f.amp * (0.5 - k), order=24)[0]
+    assert abs(rep.I_minor_plus - want) <= tol * f.amp * (0.5 - k)
+    assert rep.I_minor_plus.imag == 0.0
 
 
 def test_arcs_model_mode_real_even():
@@ -474,6 +515,34 @@ def test_sin3_closed_form_vs_quadrature(T):
     f = lambda u: _sin3_over_u3(u).astype(complex)
     ref = adaptive_complex(f, edges, 1e-14 * min(T, 1.0), order=16)[0].real
     assert abs(sin3_integral(T) - ref) <= 1e-14 * min(T, 1.0)
+
+
+SI_GRID = np.geomspace(1e-6, 1e6, 241).tolist()
+
+
+def test_sine_integral_vs_mpmath():
+    eps = np.finfo(float).eps
+    with mp.workdps(30):
+        for x in SI_GRID:
+            si, shifted = sine_integral(x)
+            want = mp.si(x)
+            # a few ulp of Si everywhere
+            assert abs(si - float(want)) <= 4 * eps * float(want), x
+            # Si - pi/2 to 1e-16 absolute where it comes from the continued fraction
+            if x > 2.0:
+                assert abs(shifted - float(want - mp.pi / 2)) <= 1e-16, x
+
+
+@pytest.mark.parametrize("T", [1e-4, 0.5, 2.5, 40.0, 1234.5, 3e5])
+def test_sin3_tail_vs_mpmath(T):
+    # the tail is ~1/T^3 but meets about 1e-16 / T absolute
+    with mp.workdps(40):
+        T_mp = mp.mpf(T)
+        closed = (-mp.sin(T_mp) ** 3 / (2 * T_mp ** 2) - 3 * mp.sin(T_mp) ** 2 * mp.cos(T_mp)
+                  / (2 * T_mp) + (9 * mp.si(3 * T_mp) - 3 * mp.si(T_mp)) / 8)
+        want = float(3 * mp.pi / 8 - closed)
+    assert abs(sin3_tail(T) - want) <= 1e-15 / max(T, 1.0)
+    assert abs(sin3_integral(T) + sin3_tail(T) - 3 * math.pi / 8) <= 4e-16
 
 
 def test_sin3_tiny_T():

@@ -233,6 +233,30 @@ def test_invalid_instance_exit_2(capsys):
     assert status == 2
 
 
+# mu_k N <= 1 for k = 1 or 2: ln(mu_k N) <= 0, and at N = 1 and 2 also ln N
+# or ln ln N.  Each must exit 2 with one message, not a traceback.
+SMALL_CENTRE_CASES = [(1, "1/3,1/3,1/3"), (2, "1/3,1/3,1/3"), (3, "1/3,1/3,1/3"),
+                      (4, "1/4,1/4,1/2")]
+
+
+@pytest.mark.parametrize("N, mu", SMALL_CENTRE_CASES)
+@pytest.mark.parametrize("mode", ["exact", "model"])
+def test_arcs_small_centres_exit_2(N, mu, mode, capsys):
+    status = main(["arcs", "--N", str(N), "--c", "3/2", "--mu", mu, "--H", "0", "--mode", mode])
+    assert status == 2
+    assert "mu_k N > 1, k = 1, 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("N, mu", SMALL_CENTRE_CASES)
+def test_sweep_small_centres_exit_2(N, mu, capsys):
+    # --H-exponent 0 gives H = 1, which is wider than the windows at N = 1, 2
+    status = main(["sweep", "--N-list", str(N), "--c", "3/2", "--mu", mu, "--H-exponent", "0"])
+    assert status == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert ("mu_k N > 1, k = 1, 2" in err) == (N > 2)
+
+
 def test_mem_mb_counts_megabytes(capsys):
     # window 2 spans 200000 entries: more than 1 MB of 8-byte entries (2^17)
     # and fewer than 2^20, so 1 MB must not admit it and 2 MB must
@@ -390,6 +414,8 @@ for mode in ("exact", "model"):
 run("sweep", ["sweep", "--N-list", "1000,10000", "--c", "3/2", "--mu", "1/3,1/3,1/3"])
 for kind in estermann.cli.EXPSUM_KINDS:
     run(f"expsum {kind}", ["expsum", *instance, "--kind", kind, "--alpha-grid", "0:0.5:5"])
+estermann.singular_integral_J(10 ** 4, 0.01)
+seen["singular_integral_J"] = heavy()
 run("verify --quick", ["verify", "--quick"])
 print(json.dumps({"seen": seen, "status": status, "count": docs["count"]["total"],
                   "arcs": [docs[m]["exact_total"] for m in ("exact", "model")],
@@ -398,9 +424,9 @@ print(json.dumps({"seen": seen, "status": status, "count": docs["count"]["total"
 
 
 def test_count_loads_neither_mpmath_nor_numpy_random():
-    # count, arcs (both modes), sweep and every expsum kind load none of
-    # mpmath, numpy.polynomial and numpy.random; verify is the one command
-    # that needs mpmath
+    # count, arcs (both modes), sweep, every expsum kind and
+    # singular_integral_J load none of mpmath, numpy.polynomial and
+    # numpy.random; verify is the one command that needs mpmath
     src = os.path.dirname(os.path.dirname(cli.__file__))
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_FOOTPRINT],
@@ -416,6 +442,7 @@ def test_count_loads_neither_mpmath_nor_numpy_random():
         "import estermann": [],
         "import estermann.cli": [],
         **{name: [] for name in runs},
+        "singular_integral_J": [],
         "verify --quick": ["mpmath"],
     }
     assert doc["status"] == {name: 0 for name in runs + ["verify --quick"]}

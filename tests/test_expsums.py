@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -25,6 +26,7 @@ from estermann.expsums import (
 )
 from estermann.cli import main
 from estermann.instance import build_instance, derive_params
+from estermann.quadrature import adaptive_complex, uniform_edges
 from estermann.sieve import lambda_segment, primes_in
 
 C32 = RationalExponent(3, 2)
@@ -369,3 +371,28 @@ def test_approx_S_c_integral_at_large_centre():
     h3 = float(BIG_DP.h3)
     assert abs(want) >= 5e-4 * h3  # H3/(2 pi alpha H) is 8e-4 * H3
     assert abs(approx_S_c(alpha, BIG_DP, BIG.c, "integral") - want) <= 1e-10 * h3
+
+
+def test_sc_integral_cli_at_large_alpha_h(capsys):
+    # alpha H = 4e5: on one-oscillation panels the 50M evaluation budget ran
+    # out and the command exited 2.  The referee integrates the same
+    # integral in u on one-period panels of an order-16 rule, about its exact
+    # centre mu3 N = 1e10, whose phase it reduces in Python integers.
+    alpha, H, centre = 0.4, 10 ** 6, 10 ** 10
+    argv = ["expsum", "--N", "30000000000", "--c", "7/4", "--mu", "1/3,1/3,1/3",
+            "--H", str(H), "--kind", "Sc_integral", "--alpha-grid", "0.4:0.4:1"]
+    assert main(argv) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert float(row[0]) == alpha
+    got = complex(float(row[1]), float(row[2]))
+
+    inv_c = 4 / 7
+    f = lambda v: (centre + v) ** (inv_c - 1.0) * np.exp(2j * np.pi * alpha * v)
+    edges = uniform_edges(-H, H, round(2 * alpha * H))
+    integral = adaptive_complex(f, edges, 1e-12 * H, order=16, eval_budget=10 ** 8)[0]
+    num, den = alpha.as_integer_ratio()
+    phase = (num * centre % den) / den - 0.5 * alpha
+    want = math.sin(math.pi * alpha) / (math.pi * alpha) * inv_c * integral * cmath.exp(
+        2j * math.pi * phase)
+    h3 = derive_params(build_instance(3 * 10 ** 10, "7/4", ("1/3", "1/3", "1/3"), H)).h3
+    assert abs(got - want) <= 1e-10 * h3

@@ -10,12 +10,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from estermann.circle import _PANEL_ORDER, _PERIODS_PER_PANEL, ExactIntegrand
+from estermann.circle import ExactIntegrand
 from estermann.errors import ToleranceNotMet
 from estermann.expsums import PhaseReducer, char_sum, cis
 from estermann import quadrature
 from estermann.instance import build_instance
-from estermann.quadrature import adaptive_complex, leggauss, uniform_edges
+from estermann.quadrature import (
+    _PANEL_ORDER,
+    _PERIODS_PER_PANEL,
+    adaptive_complex,
+    leggauss,
+    panel_edges,
+    uniform_edges,
+)
 
 THIRD = ("1/3", "1/3", "1/3")
 
@@ -105,6 +112,19 @@ def test_adaptive_complex_arc_closed_forms(k, kappa):
         x, w = leggauss(_PANEL_ORDER)
         value = np.sum(0.5 * b * w * f(0.5 * b * (x + 1.0)))
         assert abs(value - (e(k * b) - 1.0) / (2j * math.pi * k)) <= 1e-13 * b
+
+
+@pytest.mark.parametrize("a, b, f", [(0.0, 0.5, 3000.0), (0.013, 0.5, 7.0), (-2e5, 2e5, 0.4),
+                                     (0.1, 0.1, 50.0), (3.0, 17.0, 0.0)])
+def test_panel_edges_fewest_panels_of_at_most_ten_periods(a, b, f):
+    edges = panel_edges(a, b, f)
+    assert edges[0] == a and edges[-1] == b
+    n = len(edges) - 1
+    if f == 0 or a == b:
+        assert n == 1
+    else:
+        assert (b - a) / n <= _PERIODS_PER_PANEL / f * (1 + 1e-15)
+        assert n == 1 or (b - a) / (n - 1) > _PERIODS_PER_PANEL / f
 
 
 def test_adaptive_complex_matches_per_panel_algorithm():
