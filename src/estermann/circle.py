@@ -374,6 +374,8 @@ class ArcReport:
     exact_total: int
     model_major: float
     main_term: float
+    # the proven bound on the quadrature rules' error, rounding aside, over
+    # all of [-1/2, 1/2] but the closed-form model minor arcs
     achieved_error: float
     n_evals: int
 
@@ -459,14 +461,23 @@ def integrate_arcs(
     I_minor_minus = conj(I_minor_plus).  When kappa >= 1/2 the second
     interval is empty: I_major is the full integral and both minor integrals
     are zero.  Quadrature panels span at most ten periods of the top
-    frequency (quadrature.panel_edges).  In model mode the minor arc is the
+    frequency (quadrature.panel_edges), and adaptive_complex takes them by
+    its band rule: both integrands are band-limited with a known sup.  The
+    exact integrand is a sum of e(k alpha) with non-negative coefficients and
+    |k| <= max_frequency(), so its modulus off the real line is at most its
+    value at 0, |P1| |P2| |V|, times e^(2 pi max_frequency() |Im alpha|).
+    The model integrand is amp sinc^3(2 pi H alpha), and
+    sinc w = integral of cos(t w) over [0, 1] gives |sinc w| <= e^|Im w|, so
+    its sup is amp with top frequency 3H.  Each arc's rule-error bound must
+    fit tol * max(sup, 1) * (its width).  In model mode the minor arc is the
     closed form ModelIntegrand.integral, so achieved_error and n_evals count
-    the major arc only.  achieved_error counts each half's error estimate
-    twice, for the half it stands for; n_evals counts the quadrature's
-    integrand evaluations, which are made once each.  Exact mode also
+    the major arc only.  achieved_error counts each half's bound twice, for
+    the half it stands for; n_evals counts the quadrature's integrand
+    evaluations, 2 * 32 per panel, which are made once each.  Exact mode also
     computes the convolution count, whose agreement with Re(sum of the three
-    integrals) is the additivity cross-check.  dp, when given, must be
-    derive_params(inst).  Raises ValueError unless mu_k N > 1 for k = 1, 2.
+    integrals) is the additivity cross-check, and the one check that covers
+    the integrand's rounding.  dp, when given, must be derive_params(inst).
+    Raises ValueError unless mu_k N > 1 for k = 1, 2.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -492,7 +503,9 @@ def integrate_arcs(
 
     def run(a: float, b: float) -> tuple[complex, float, int]:
         edges = panel_edges(a, b, fmax)
-        return adaptive_complex(integrand, edges, abs_tol=tol * scale * (b - a))
+        return adaptive_complex(
+            integrand, edges, abs_tol=tol * scale * (b - a), band=(fmax, peak)
+        )
 
     I_half, e_major, n_major = run(0.0, k)
     if mode == "exact":

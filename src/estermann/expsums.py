@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .arith import RationalExponent
-from .instance import DerivedParams
+from .instance import DerivedParams, log_centre
 from .quadrature import adaptive_complex, panel_edges
 
 _TWO_PI = 2.0 * math.pi
@@ -30,12 +30,13 @@ class PhaseReducer:
     """Computes frac(alpha * v) for a double alpha and integer v, to about 2^-52.
 
     The double alpha is split exactly as m/2^64 + rest with m an integer and
-    0 <= rest < 2^-64.  For v >= 0, frac(m*v/2^64) is ((m*v) mod 2^64)/2^64,
-    exact in uint64 wraparound, and rest*v < v/2^64 adds less than 1/2 turn.
-    Rounding the wrapped product, the sum and rest*v to doubles puts the
-    result within 2^-54 + 2^-53 + 3*2^-53*rest*v of the exact reduction,
-    which is under 0.76 * 2^-52 turn for v < 2^53 and under 1.5 * 2^-52 for
-    every v < 2^63.
+    0 <= rest < 2^-64.  frac(m*v/2^64) is ((m*v) mod 2^64)/2^64, exact in
+    uint64 wraparound, which holds for negative v too: v is read as its two's
+    complement v + 2^64, and 2^64 m is a whole number of turns.  rest*v adds
+    less than 1/2 turn either way.  Rounding the wrapped product, the sum and
+    rest*v to doubles puts the result within 2^-54 + 2^-53 + 3*2^-53*rest*|v|
+    of the exact reduction, which is under 0.76 * 2^-52 turn for |v| < 2^53
+    and under 1.5 * 2^-52 for every |v| < 2^63.
     """
 
     __slots__ = ("alpha", "_m", "_rest")
@@ -48,7 +49,7 @@ class PhaseReducer:
         self._rest = r / (den << 64)
 
     def frac(self, v) -> np.ndarray:
-        """frac(alpha*v) in [0, 1) for an array of non-negative integers."""
+        """frac(alpha*v) in [0, 1) for an array of integers of either sign."""
         v = np.asarray(v, dtype=np.int64)
         x = np.multiply(v.view(np.uint64) * self._m, _TURN_PER_WRAP)
         x += self._rest * v
@@ -62,7 +63,7 @@ class PhaseReducer:
         return (a_num * x.numerator % den) / den
 
     def char(self, v) -> np.ndarray:
-        """e(alpha*v) for an array of non-negative integers."""
+        """e(alpha*v) for an array of integers."""
         return np.exp(2j * np.pi * self.frac(v))
 
 
@@ -110,13 +111,16 @@ def exp_integral(
 
     With m the exact midpoint and w the half-width, this is e(alpha*m) times
     the integral of (m + v)^amp_power * e(alpha*v) over |v| <= w: the phase
-    at m is reduced exactly, and only alpha*v is formed in double.  The phase
-    is linear in v, so the package's panel rule (quadrature.panel_edges) with
-    top frequency |alpha| resolves it to roundoff; the amplitude is smooth
-    because u0 > 0 whenever amp_power is non-zero.  At 9.6 evaluations per
-    period the quadrature's budget of 50M would last to |alpha| (u1 - u0) =
-    5.2e6, but from about 1.5e6 on the rounding of the double alpha*v makes
-    panels split, and the budget runs out near 2.7e6.
+    at m is reduced exactly, and so is alpha*j for the integer j nearest each
+    node v, by PhaseReducer; only alpha*(v - j), at most |alpha|/2, is formed
+    in double.  The phase is linear in v, so the package's panel rule
+    (quadrature.panel_edges) with top frequency |alpha| resolves it to
+    roundoff; the amplitude is smooth because u0 > 0 whenever amp_power is
+    non-zero.  At 9.6 evaluations per period the quadrature's budget of 50M
+    would last to |alpha| (u1 - u0) = 5.2e6.  The nodes themselves are
+    doubles, though, so each is rounded by up to 2^-53 |v|; from about
+    |alpha| (u1 - u0) = 2.1e6 on that makes the whole-vs-halves estimate
+    split panels, and the budget runs out between 3.0e6 and 3.2e6.
     """
     u0, u1 = Fraction(u0), Fraction(u1)
     if amp_power != 0.0 and u0 <= 0:
@@ -128,14 +132,17 @@ def exp_integral(
         abs_tol = 1e-10 * width
     m = (u0 + u1) / 2
     mf = float(m)
+    reducer = PhaseReducer(alpha)
 
     def f_batch(v: np.ndarray) -> np.ndarray:
         amp = (mf + v) ** amp_power if amp_power != 0.0 else 1.0
-        return amp * np.exp(2j * np.pi * alpha * v)
+        j = np.rint(v)
+        phase = reducer.frac(j.astype(np.int64)) + alpha * (v - j)
+        return amp * np.exp(2j * np.pi * phase)
 
     edges = panel_edges(-0.5 * width, 0.5 * width, abs(alpha))
     value, _err, _n = adaptive_complex(f_batch, edges, abs_tol)
-    return cis(PhaseReducer(alpha).frac_fraction(m)) * value
+    return cis(reducer.frac_fraction(m)) * value
 
 
 def approx_S_c(
@@ -181,8 +188,11 @@ def approx_S1(alpha: float, x: Fraction, y: Fraction) -> complex:
 
 
 def approx_prime_sum(alpha: float, H: float, mu_k: Fraction, N: int) -> complex:
-    """Closed form of the prime-window sum: 2H*sinc(2*pi*alpha*H)*e(alpha*mu_k*N)/ln(mu_k*N)."""
-    log_muN = math.log(mu_k * N)
+    """Closed form of the prime-window sum: 2H*sinc(2*pi*alpha*H)*e(alpha*mu_k*N)/ln(mu_k*N).
+
+    Raises ValueError unless mu_k N > 1.
+    """
+    log_muN = log_centre(mu_k * N)
     if alpha == 0.0:
         return complex(2.0 * H / log_muN)
     r = PhaseReducer(alpha)

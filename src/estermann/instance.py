@@ -147,18 +147,23 @@ def derive_params(inst: ProblemInstance) -> DerivedParams:
     )
 
 
-def log_centres(inst: ProblemInstance) -> tuple[float, float]:
-    """ln(mu1 N) and ln(mu2 N), which the main terms divide by.
+def log_centre(centre: Fraction) -> float:
+    """ln(mu_k N) for a window centre mu_k N, which a main term divides by.
 
-    Raises ValueError unless mu_k N > 1 for k = 1, 2.  Since mu1 + mu2 < 1,
-    that also gives N >= 3, so ln N > 0 and ln ln N > 0.
+    Raises ValueError unless mu_k N > 1, where the logarithm is positive.
     """
-    if not (inst.mu_N(1) > 1 and inst.mu_N(2) > 1):
-        raise ValueError(
-            f"the main terms need mu_k N > 1, k = 1, 2; got mu1 N = {inst.mu_N(1)} "
-            f"and mu2 N = {inst.mu_N(2)}"
-        )
-    return math.log(inst.mu_N(1)), math.log(inst.mu_N(2))
+    if not centre > 1:
+        raise ValueError(f"the main terms need mu_k N > 1, k = 1, 2; got mu_k N = {centre}")
+    return math.log(centre)
+
+
+def log_centres(inst: ProblemInstance) -> tuple[float, float]:
+    """ln(mu1 N) and ln(mu2 N), each checked by log_centre.
+
+    Since mu1 + mu2 < 1, mu_k N > 1 for k = 1, 2 also gives N >= 3, so
+    ln N > 0 and ln ln N > 0.
+    """
+    return log_centre(inst.mu_N(1)), log_centre(inst.mu_N(2))
 
 
 @dataclass(frozen=True)

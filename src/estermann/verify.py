@@ -37,6 +37,7 @@ from .expsums import (
     exp_integral,
 )
 from .instance import build_instance, derive_params
+from .quadrature import gauss_error_bound, leggauss
 from .sieve import lambda_segment, primes_in, psi
 
 Check = tuple[str, bool, str]
@@ -227,7 +228,33 @@ def check_quadrature_selftest(quick: bool) -> Check:
     J = singular_integral_J(10 ** 4, L * L / (3.0 * 10 ** 4))
     if abs(J.value - J.reference) > 0.05 * J.reference:
         return ("quadrature_selftest", False, f"J(H) off: {J.value:.6g} vs {J.reference:.6g}")
-    return ("quadrature_selftest", True, "linear kernel, sin^3 tail, and J(H) within bands")
+    # The proven Gauss bound against the closed form of a seeded non-negative
+    # trigonometric polynomial weighted to its top frequency F, on panels of
+    # 10 and 12 periods, where the rule's error is far above rounding (the
+    # allowance is 1e-14 of sup * width).  Exact-mode additivity, the check
+    # that covers the integrand's rounding, is the orthogonality check.
+    rng = random.Random(19)
+    F = 40
+    ks = np.arange(-F, F + 1)
+    coeffs = np.array([rng.random() * (1.0 if abs(k) >= F - 2 else 0.01) for k in ks.tolist()])
+    sup = float(coeffs.sum())
+    x, w = leggauss(32)
+    for periods in (10.0, 12.0):
+        width = periods / F
+        a = rng.random()
+        nodes = a + 0.5 * width * (x + 1.0)
+        rule = 0.5 * width * np.sum(w * (np.exp(2j * np.pi * np.outer(nodes, ks)) @ coeffs))
+        turns = np.where(ks == 0, 1, ks)
+        closed = np.where(
+            ks == 0, width,
+            (np.exp(2j * np.pi * ks * (a + width)) - np.exp(2j * np.pi * ks * a)) / (2j * np.pi * turns),
+        ) @ coeffs
+        err, bound = abs(rule - closed), float(gauss_error_bound(width, F, sup))
+        if not err <= bound + 1e-14 * sup * width:
+            return ("quadrature_selftest", False,
+                    f"Gauss error {err:.3g} above its proven bound {bound:.3g} at {periods} periods")
+    return ("quadrature_selftest", True,
+            "linear kernel, sin^3 tail, J(H) within bands; Gauss bound holds at 10, 12 periods")
 
 
 def check_si_oracle(quick: bool) -> Check:

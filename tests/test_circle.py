@@ -32,7 +32,7 @@ from estermann.counting import brute_force_count, fast_count, window_primes
 from estermann.errors import MemoryBudgetExceeded
 from estermann.expsums import PhaseReducer, char_sum, cis
 from estermann.instance import build_instance, derive_params
-from estermann.quadrature import adaptive_complex, uniform_edges
+from estermann.quadrature import _PANEL_ORDER, adaptive_complex, panel_edges, uniform_edges
 from estermann.sieve import primes_in
 from estermann.verify import random_instances
 
@@ -488,6 +488,60 @@ def test_arc_report_derived_values(mode, H):
     assert rep.ratio_exact_to_main == rep.exact_total / rep.main_term
     assert rep.ratio_major_to_model == rep.I_major.real / rep.model_major
     assert rep.to_dict()["I_minor_minus"] == [I_minus.real, I_minus.imag]
+
+
+@pytest.mark.parametrize("N, c, mu, H, mode", [
+    (10 ** 4, "3/2", THIRD, 1200, "exact"),
+    (5284, "3/2", ("2/5", "1/5", "2/5"), 404, "exact"),
+    (7710, "7/4", ("1/4", "1/3", "5/12"), 1014, "model"),
+    (2000, "3/2", THIRD, 35, "exact"),  # kappa >= 1/2: one interval
+])
+def test_arcs_band_rule_bound_and_evaluations(N, c, mu, H, mode):
+    # every panel is accepted on its two half rules, 2 * 32 evaluations, and
+    # the proven bound fits tol * max(sup, 1) over the whole period
+    inst = build_instance(N, c, mu, H)
+    tol = 1e-6
+    rep = integrate_arcs(inst, mode=mode, tol=tol)
+    if mode == "exact":
+        f = ExactIntegrand(inst)
+        fmax = f.max_frequency()
+        sup = len(f.p1) * len(f.p2) * len(f.values)
+        arcs = [(0.0, min(rep.kappa, 0.5)), (min(rep.kappa, 0.5), 0.5)]
+    else:
+        fmax = 3.0 * H
+        sup = ModelIntegrand(inst, derive_params(inst)).amp
+        arcs = [(0.0, rep.kappa)]
+    panels = sum(len(panel_edges(a, b, fmax)) - 1 for a, b in arcs if b > a)
+    assert rep.n_evals == 2 * _PANEL_ORDER * panels
+    assert 0.0 < rep.achieved_error <= tol * max(sup, 1.0)
+    assert rep.additivity_error < 0.5 or mode == "model"
+
+
+def test_arcs_reach_the_benchmark_layers(monkeypatch):
+    # perfbench/workloads.py lists "circle.integrand" and "quadrature" in the
+    # layers tuples of arcs-exact and crosscheck, and a traced run that
+    # records no call to one of them fails.  Tier-1 does not run perfbench,
+    # so this checks the same reach: integrate_arcs in exact mode (arcs-exact)
+    # and in model mode (crosscheck) calls quadrature.adaptive_complex and the
+    # integrand's __call__.  A change that retires these layers needs a
+    # benchmark change that edits those tuples.
+    calls = {"adaptive_complex": 0, "ExactIntegrand": 0, "ModelIntegrand": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(circle, "adaptive_complex",
+                        counting("adaptive_complex", circle.adaptive_complex))
+    for cls in (ExactIntegrand, ModelIntegrand):
+        monkeypatch.setattr(cls, "__call__", counting(cls.__name__, cls.__call__))
+    inst = build_instance(3000, "3/2", THIRD, 300)
+    integrate_arcs(inst, mode="exact", tol=1e-6)
+    assert calls["adaptive_complex"] == 2 and calls["ExactIntegrand"] >= 2
+    integrate_arcs(inst, mode="model", tol=1e-6)
+    assert calls["adaptive_complex"] == 3 and calls["ModelIntegrand"] >= 2
 
 
 # ---------------------------------------------------------------- J(H)

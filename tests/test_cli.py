@@ -257,6 +257,17 @@ def test_sweep_small_centres_exit_2(N, mu, capsys):
     assert ("mu_k N > 1, k = 1, 2" in err) == (N > 2)
 
 
+@pytest.mark.parametrize("N, mu", [(3, "1/3,1/3,1/3"), (2, "1/4,1/4,1/2")])
+def test_expsum_prime_approx_small_centre_exit_2(N, mu, capsys):
+    # mu1 N = 1 divided by ln 1 = 0; mu1 N = 1/2 scaled the rows by ln(1/2) < 0
+    status = main(["expsum", "--N", str(N), "--c", "3/2", "--mu", mu, "--H", "0",
+                   "--kind", "prime_approx", "--alpha-grid", "0:0.5:2"])
+    assert status == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "mu_k N > 1" in err
+
+
 def test_mem_mb_counts_megabytes(capsys):
     # window 2 spans 200000 entries: more than 1 MB of 8-byte entries (2^17)
     # and fewer than 2^20, so 1 MB must not admit it and 2 MB must

@@ -81,6 +81,19 @@ def test_phase_reducer_within_2_52_of_exact():
     _assert_within_2_52((2 ** 53 - 1) / 2 ** 64, [2 ** 53 + 1])
 
 
+def test_phase_reducer_negative_integers():
+    # v is read as its two's complement v + 2^64, a whole number of turns of
+    # the m/2^64 part away, and rest*v is negative: still frac(alpha v)
+    rng = random.Random(7)
+    for alpha in (0.3, 1 / 3, 0.4999, -0.123456789, 1e-12):
+        v = [-rng.randrange(1, 2 ** 62) for _ in range(200)] + [-1, -(2 ** 53) - 1]
+        _assert_within_2_52(alpha, v)
+        got = PhaseReducer(alpha).frac(np.array(v, dtype=np.int64))
+        want = [float(Fraction(alpha) * x % 1) for x in v]
+        diff = np.abs(got - np.array(want))
+        assert np.minimum(diff, 1 - diff).max() <= 2.0 ** -51
+
+
 def test_phase_reducer_fraction():
     r = PhaseReducer(0.25)
     assert r.frac_fraction(Fraction(10, 3)) == pytest.approx((0.25 * 10 / 3) % 1.0, abs=1e-15)
@@ -252,6 +265,26 @@ def test_tolerance_not_met_carries_achieved():
     assert info2.value.achieved == float("inf")
 
 
+def test_exp_integral_splits_no_panel_at_large_alpha_width(monkeypatch):
+    # N = 3e10, c = 7/4, alpha = 1/2, H = 1.5e6: 150000 ten-period panels.
+    # With the phase formed as the double product alpha*v, its rounding split
+    # panels on noise (99.4 evaluations per panel); reduced at the integer
+    # nearest each node, every panel is accepted at 3 * 32 evaluations.
+    from estermann import expsums
+
+    calls = []
+
+    def counted(f, edges, abs_tol, **kwargs):
+        result = adaptive_complex(f, edges, abs_tol, **kwargs)
+        calls.append((len(edges) - 1, result[2]))
+        return result
+
+    monkeypatch.setattr(expsums, "adaptive_complex", counted)
+    inst = build_instance(3 * 10 ** 10, "7/4", ("1/3", "1/3", "1/3"), 1_500_000)
+    approx_S_c(0.5, derive_params(inst), inst.c, "integral")
+    assert calls == [(150_000, 96 * 150_000)]
+
+
 # ---------------------------------------------------------------- closed forms
 
 DESK = build_instance(10 ** 6, "3/2", ("1/3", "1/3", "1/3"), 10 ** 4)
@@ -305,6 +338,15 @@ def test_approx_prime_sum_limit_and_bound():
     for alpha in np.linspace(-0.5, 0.5, 41):
         z = approx_prime_sum(float(alpha), DESK.H, mu, DESK.N)
         assert abs(z) <= abs(limit) + 1e-9
+
+
+@pytest.mark.parametrize("mu, N", [(Fraction(1, 3), 3), (Fraction(1, 4), 2), (Fraction(1, 5), 1)])
+def test_approx_prime_sum_needs_centre_above_one(mu, N):
+    # ln(mu N) would be 0 or negative
+    with pytest.raises(ValueError, match="mu_k N > 1"):
+        approx_prime_sum(0.0, 0, mu, N)
+    with pytest.raises(ValueError, match="mu_k N > 1"):
+        approx_prime_sum(0.25, 0, mu, N)
 
 
 def test_approx_prime_sum_vs_eval_large_window():

@@ -19,6 +19,7 @@ from estermann.quadrature import (
     _PANEL_ORDER,
     _PERIODS_PER_PANEL,
     adaptive_complex,
+    gauss_error_bound,
     leggauss,
     panel_edges,
     uniform_edges,
@@ -61,8 +62,24 @@ def test_leggauss_matches_numpy(n):
     assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
 
 
-def per_panel_reference(f, edges, abs_tol, order, max_depth=16):
-    """The panel-at-a-time algorithm: one integrand call per Gauss rule."""
+def band_bound_reference(width, top_frequency, sup, order):
+    """Trefethen's Gauss bound at rho = t + sqrt(t^2 - 1), t = 2n/(pi P), in scalar math."""
+    t = 2 * order / (math.pi * top_frequency * width)
+    if t <= 1:
+        return math.inf
+    rho = t + math.sqrt(t * t - 1)
+    periods = top_frequency * width
+    return (width / 2 * 64 / 15 * sup * math.exp(math.pi * periods * (rho - 1 / rho) / 2)
+            * rho ** (2 - 2 * order) / (rho * rho - 1))
+
+
+def per_panel_reference(f, edges, abs_tol, order, max_depth=16, band=None):
+    """The panel-at-a-time algorithm: one integrand call per Gauss rule.
+
+    Without band a panel's error is its whole-vs-halves discrepancy; with
+    band=(top_frequency, sup) it is band_bound_reference on its two halves,
+    known before the panel is evaluated, and only accepted panels are.
+    """
     x, w = leggauss(order)
 
     def rule(a, b):
@@ -73,13 +90,19 @@ def per_panel_reference(f, edges, abs_tol, order, max_depth=16):
     panels = [(edges[i], edges[i + 1], 0) for i in range(len(edges) - 1)]
     accepted, achieved, n_evals = [], 0.0, 0
     while panels:
-        n_evals += 3 * order * len(panels)
         pending = []
         for a, b, depth in panels:
             mid = 0.5 * (a + b)
-            whole, halves = rule(a, b), rule(a, mid) + rule(mid, b)
-            err = abs(whole - halves)
+            if band is None:
+                n_evals += 3 * order
+                halves = rule(a, mid) + rule(mid, b)
+                err = abs(rule(a, b) - halves)
+            else:
+                err = sum(band_bound_reference(h, *band, order) for h in (mid - a, b - mid))
             if err <= abs_tol * (b - a) / total_width or depth >= max_depth:
+                if band is not None:
+                    n_evals += 2 * order
+                    halves = rule(a, mid) + rule(mid, b)
                 accepted.append((a, halves))
                 achieved += err
             else:
@@ -160,6 +183,163 @@ def test_adaptive_complex_budget_checked_before_evaluating():
         adaptive_complex(f, [0.0, 1.0], 1e-12, order=8, eval_budget=3 * 8 * 7)
     # levels of 1, 2 and 4 panels fit the budget of 7 panels; the fourth never runs
     assert calls == [24, 48, 96]
+
+
+def mp_leggauss(n: int, dps: int = 80):
+    """Order-n Gauss-Legendre nodes and weights at dps digits, by Newton's method."""
+    import mpmath as mp
+
+    def legendre(t):
+        p0, p1 = mp.mpf(1), t
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * t * p1 - (j - 1) * p0) / j
+        return p1, n * (t * p1 - p0) / (t * t - 1)
+
+    rule = []
+    with mp.workdps(dps):
+        for start in np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5)).tolist():
+            t = mp.mpf(start)
+            for _ in range(12):
+                p, dp = legendre(t)
+                t -= p / dp
+            rule.append((t, 2 / ((1 - t * t) * legendre(t)[1] ** 2)))
+    return rule
+
+
+def trig_rule_error(coeffs: dict, a: float, width: float, rule, dps: int = 80) -> float:
+    """|Gauss rule - integral| of sum c_k e(k alpha) over [a, a + width], at dps digits.
+
+    The integral is the closed form sum of c_k (e(k b) - e(k a)) / (2 pi i k).
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        a, w = mp.mpf(a), mp.mpf(width)
+        b = a + w
+        e_ = lambda t: mp.expjpi(2 * t)
+        f = lambda t: sum(c * e_(k * t) for k, c in coeffs.items())
+        quad = w / 2 * sum(wt * f(a + w / 2 * (t + 1)) for t, wt in rule)
+        exact = sum(c * w if k == 0 else c * (e_(k * b) - e_(k * a)) / (2j * mp.pi * k)
+                    for k, c in coeffs.items())
+        return float(abs(quad - exact))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_gauss_error_bound_dominates_rule_error(seed):
+    # seeded non-negative trigonometric polynomials of top frequency F: the
+    # order-32 rule's error, at 80 digits so rounding cannot hide it, stays
+    # below the proven bound on panels of 2.5 to 12 periods
+    rng = random.Random(seed)
+    F = rng.randint(5, 60)
+    coeffs = {k: rng.random() for k in range(-F, F + 1) if rng.random() < 0.5}
+    coeffs[rng.choice((F, -F))] = rng.random()
+    sup = sum(coeffs.values())
+    rule = mp_leggauss(_PANEL_ORDER)
+    for periods in (2.5, 5.0, 8.0, 10.0, 12.0):
+        width = periods / F
+        err = trig_rule_error(coeffs, rng.uniform(-0.5, 0.5), width, rule)
+        bound = gauss_error_bound(width, F, sup)
+        assert err <= bound
+        assert bound == pytest.approx(band_bound_reference(width, F, sup, _PANEL_ORDER), rel=1e-12)
+
+
+def test_gauss_error_bound_is_sharp_for_the_top_frequency():
+    # on e(F alpha), the extreme case of the class, the bound is within a
+    # factor 30 of the error (25 to 27 at 2.5 to 12 periods), and no rho does
+    # more than 0.1% better than the one the code takes
+    F = 37
+    rule = mp_leggauss(_PANEL_ORDER)
+    for periods in (10.0, 12.0):
+        width = periods / F
+        err = trig_rule_error({F: 1.0}, 0.0, width, rule)
+        bound = gauss_error_bound(width, F, 1.0)
+        assert err <= bound <= 30 * err
+        rhos = np.linspace(1.001, 20.0, 200_001)
+        best = np.min(width / 2 * 64 / 15 * np.exp(np.pi * periods * (rhos - 1 / rhos) / 2)
+                      * rhos ** (2.0 - 2 * _PANEL_ORDER) / (rhos * rhos - 1))
+        assert best <= bound <= 1.001 * best
+
+
+def test_gauss_error_bound_edges():
+    # per unit of sup * width at order 32: 2.5e-31 at 5 periods, 2.4e-13 at 10
+    assert 2.4e-31 < gauss_error_bound(5.0, 1.0, 1.0) / 5.0 < 2.6e-31
+    assert 2.3e-13 < gauss_error_bound(10.0, 1.0, 1.0) / 10.0 < 2.5e-13
+    # no rho beats the trivial bound past 2n/pi periods: inf, so the panel splits
+    assert gauss_error_bound(21.0, 1.0, 1.0) == math.inf
+    # a bound that underflows stays positive, so a zero tolerance never fits,
+    # and nothing overflows however narrow the panel
+    assert gauss_error_bound(1e-9, 1.0, 1e300) > 0.0
+    assert 0.0 < gauss_error_bound(1e-300, 1.0, 1.0) < 1e-300
+    # f = 0 is integrated exactly
+    assert gauss_error_bound(1.0, 1.0, 0.0) == 0.0
+    # the bound grows with the width, so the widest half of a level bounds all
+    widths = np.linspace(0.01, 20.0, 2001).tolist()
+    bounds = [gauss_error_bound(v, 1.0, 1.0) for v in widths]
+    assert all(x < y for x, y in zip(bounds, bounds[1:]) if y < math.inf)
+
+
+def band_cases():
+    rng = random.Random(19)
+    F = 211
+    coeffs = {k: rng.random() for k in range(-F, F + 1, 7)}
+    coeffs[F] = 0.5
+    ks = np.array(list(coeffs))
+    cs = np.array(list(coeffs.values()))
+    # a sum along the last axis, so a node's value does not depend on its batch
+    f = lambda alpha: (np.exp(2j * np.pi * np.multiply.outer(alpha, ks)) * cs).sum(axis=-1)
+    return f, F, float(cs.sum())
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 0.5), (0.0123, 0.5), (-0.5, 0.5), (0.3, 0.31)])
+def test_band_path_matches_estimate_path_on_panel_edges(a, b):
+    f, F, sup = band_cases()
+    edges = panel_edges(a, b, F)
+    panels = len(edges) - 1
+    tol = 1e-10 * sup * (b - a)
+    value, err, n_evals = adaptive_complex(f, edges, tol, band=(F, sup))
+    estimate = adaptive_complex(f, edges, tol)
+    # neither splits a panel, and both take each panel's two half rules
+    assert estimate[2] == 3 * _PANEL_ORDER * panels
+    assert n_evals == 2 * _PANEL_ORDER * panels
+    assert value == estimate[0]
+    assert err <= tol and err == pytest.approx(
+        sum(band_bound_reference(h, F, sup, _PANEL_ORDER)
+            for lo, hi in zip(edges[:-1], edges[1:]) for h in (0.5 * (hi - lo),) * 2),
+        rel=1e-9)
+
+
+def test_band_path_matches_per_panel_reference_with_splits():
+    # one panel of 40 periods: its 20-period halves have no finite bound, so
+    # it splits; at tol 1e-14 the 10-period halves do not fit either, and the
+    # four 10-period panels are accepted on their 5-period halves
+    f, F, sup = band_cases()
+    width = 40.0 / F
+    for tol, panels in ((1e-10, 2), (1e-14, 4)):
+        abs_tol = tol * sup * width
+        got = adaptive_complex(f, [0.1, 0.1 + width], abs_tol, band=(F, sup))
+        want = per_panel_reference(f, [0.1, 0.1 + width], abs_tol, _PANEL_ORDER, band=(F, sup))
+        assert got[2] == want[2] == 2 * _PANEL_ORDER * panels
+        assert got[0] == want[0]
+        assert got[1] == pytest.approx(want[1], rel=1e-9)
+
+
+def test_band_path_absurd_tolerance_raises():
+    f, F, sup = band_cases()
+    calls = []
+
+    def counted(alpha):
+        calls.append(alpha.size)
+        return f(alpha)
+
+    edges = panel_edges(0.0, 0.5, F)
+    # no panel fits a zero tolerance: they split, unevaluated, until the
+    # pending panels need more than the budget
+    with pytest.raises(ToleranceNotMet):
+        adaptive_complex(counted, edges, 0.0, band=(F, sup), eval_budget=10**6)
+    assert calls == []
+    # at max_depth the panels are accepted, and their bound exceeds 1e-300
+    with pytest.raises(ToleranceNotMet):
+        adaptive_complex(counted, edges, 1e-300, band=(F, sup), max_depth=2)
 
 
 # N from 5e3 to 1e9: alpha*v reaches 5e8 turns at the largest, while the
