@@ -577,37 +577,36 @@ def sine_integral(x: float) -> tuple[float, float]:
     return 0.5 * math.pi + shifted, shifted
 
 
-def sin3_integral(T: float) -> float:
-    """integral of sin(u)^3/u^3 du over [0, T], in closed form.
+def _sin3(T: float) -> tuple[float, float]:
+    """I(T), the integral of sin(u)^3/u^3 du over [0, T], and 3 pi/8 - I(T).
 
-    I(T) = -sin^3 T/(2T^2) - 3 sin^2 T cos T/(2T) + (9 Si(3T) - 3 Si(T))/8,
-    which tends to 3 pi/8.  Below T = 1e-3 the series T - T^3/6 + 13 T^5/600
-    is used instead: its first omitted term is below 1e-18 * T there, and it
-    stays exact where the powers of T in the closed form underflow.
+    With h(T) = sin^3 T/(2T^2) + 3 sin^2 T cos T/(2T) the closed forms are
+    I(T) = (9 Si(3T) - 3 Si(T))/8 - h(T) and
+    3 pi/8 - I(T) = h(T) - (9 (Si(3T) - pi/2) - 3 (Si(T) - pi/2))/8, with
+    Si - pi/2 taken directly, so the tail's error stays near 1e-16 / T while
+    the tail falls like 1/T^3.  Below T = 1e-3, I(T) is the series
+    T - T^3/6 + 13 T^5/600 (0 for T <= 0), whose first omitted term is below
+    1e-18 * T, exact where the powers of T in the closed form underflow; the
+    tail is then 3 pi/8 - I(T), which cancels nothing.
     """
-    if T <= 0:
-        return 0.0
     if T < 1e-3:
         T2 = T * T
-        return T * (1.0 - T2 / 6.0 + (13.0 / 600.0) * T2 * T2)
+        value = T * (1.0 - T2 / 6.0 + (13.0 / 600.0) * T2 * T2) if T > 0 else 0.0
+        return value, 3.0 * math.pi / 8.0 - value
     s, c = math.sin(T), math.cos(T)
-    si = 9.0 * sine_integral(3.0 * T)[0] - 3.0 * sine_integral(T)[0]
-    return -s ** 3 / (2.0 * T * T) - 3.0 * s * s * c / (2.0 * T) + si / 8.0
+    head = s ** 3 / (2.0 * T * T) + 3.0 * s * s * c / (2.0 * T)
+    (si3, shifted3), (si1, shifted1) = sine_integral(3.0 * T), sine_integral(T)
+    return (9.0 * si3 - 3.0 * si1) / 8.0 - head, head - (9.0 * shifted3 - 3.0 * shifted1) / 8.0
+
+
+def sin3_integral(T: float) -> float:
+    """integral of sin(u)^3/u^3 du over [0, T], in closed form (see _sin3)."""
+    return _sin3(T)[0]
 
 
 def sin3_tail(T: float) -> float:
-    """integral of sin(u)^3/u^3 du over [T, inf), for T > 0, in closed form.
-
-    3 pi/8 - I(T) = sin^3 T/(2T^2) + 3 sin^2 T cos T/(2T)
-    - (9 (Si(3T) - pi/2) - 3 (Si(T) - pi/2))/8, with Si - pi/2 taken
-    directly, so the error stays near 1e-16 / T while the tail falls like
-    1/T^3.  Below T = 1e-3 the tail is 3 pi/8 - I(T), which cancels nothing.
-    """
-    if T < 1e-3:
-        return 3.0 * math.pi / 8.0 - sin3_integral(T)
-    s, c = math.sin(T), math.cos(T)
-    si = 9.0 * sine_integral(3.0 * T)[1] - 3.0 * sine_integral(T)[1]
-    return s ** 3 / (2.0 * T * T) + 3.0 * s * s * c / (2.0 * T) - si / 8.0
+    """integral of sin(u)^3/u^3 du over [T, inf), for T > 0, in closed form (see _sin3)."""
+    return _sin3(T)[1]
 
 
 @dataclass(frozen=True)

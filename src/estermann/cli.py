@@ -8,6 +8,7 @@ the resolved run configuration under "config".
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -91,13 +92,11 @@ def _instance_from(cfg: RunConfig):
 
 
 def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    """Write text to --out, or else to stdout, ending in a newline either way."""
+    with open(cfg.out, "w") if cfg.out else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write(text)
         if not text.endswith("\n"):
-            sys.stdout.write("\n")
+            fh.write("\n")
 
 
 def _with_config(cfg: RunConfig, payload: dict) -> str:

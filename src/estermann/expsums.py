@@ -145,6 +145,19 @@ def exp_integral(
     return cis(reducer.frac_fraction(m)) * value
 
 
+def _sinc_window(alpha: float, amp: float, half_width: float, centre: Fraction) -> complex:
+    """amp * sinc(2*pi*alpha*half_width) * e(alpha*centre), complex(amp) at alpha = 0.
+
+    The main term of a sum of e(alpha*t) over a window of the given mass amp
+    and half-width about an exact rational centre, at which the phase is
+    reduced.
+    """
+    if alpha == 0.0:
+        return complex(amp)
+    phase = PhaseReducer(alpha).frac_fraction(centre)
+    return amp * sinc(_TWO_PI * alpha * half_width) * cis(phase)
+
+
 def approx_S_c(
     alpha: float,
     dp: DerivedParams,
@@ -165,26 +178,21 @@ def approx_S_c(
     if alpha == 0.0:
         return complex(h3)
     if form == "sinc":
-        r = PhaseReducer(alpha)
-        phase = r.frac_fraction(dp.mu3_N)
-        return h3 * sinc(_TWO_PI * alpha * dp.H) * cis(phase)
+        return _sinc_window(alpha, h3, dp.H, dp.mu3_N)
     if form == "integral":
         inv_c = c.q / c.p
         # the tolerance is 1e-10 * H3 on the integral in t
         integral = inv_c * exp_integral(
             alpha, dp.mu3_N - dp.H, dp.mu3_N + dp.H, inv_c - 1.0, abs_tol=1e-10 * h3 / inv_c
         )
-        return sinc(math.pi * alpha) * cis((-0.5 * alpha) % 1.0) * integral
+        return _sinc_window(alpha, 1.0, 0.5, Fraction(-1, 2)) * integral
     raise ValueError(f"unknown form {form!r}")
 
 
 def approx_S1(alpha: float, x: Fraction, y: Fraction) -> complex:
     """Closed form y * sinc(pi*alpha*y) * e(alpha*(x - y/2)) for exact x, y; y at alpha = 0."""
     x, y = Fraction(x), Fraction(y)
-    if alpha == 0.0:
-        return complex(y)
-    amp = float(y) * sinc(math.pi * alpha * float(y))
-    return amp * cis(PhaseReducer(alpha).frac_fraction(x - y / 2))
+    return _sinc_window(alpha, float(y), float(y / 2), x - y / 2)
 
 
 def approx_prime_sum(alpha: float, H: float, mu_k: Fraction, N: int) -> complex:
@@ -192,9 +200,4 @@ def approx_prime_sum(alpha: float, H: float, mu_k: Fraction, N: int) -> complex:
 
     Raises ValueError unless mu_k N > 1.
     """
-    log_muN = log_centre(mu_k * N)
-    if alpha == 0.0:
-        return complex(2.0 * H / log_muN)
-    r = PhaseReducer(alpha)
-    phase = r.frac_fraction(mu_k * N)
-    return (2.0 * H / log_muN) * sinc(_TWO_PI * alpha * H) * cis(phase)
+    return _sinc_window(alpha, 2.0 * H / log_centre(mu_k * N), H, mu_k * N)

@@ -219,37 +219,23 @@ def hypothesis_report(
     n3, h3 = dp.n3, dp.h3
     n_k_max = max(dp.n1, dp.n2)
 
-    c_frac = float(c.dist_to_nearest_int())
+    # (lhs, rhs) of each condition; the integers H and 2H are compared exactly
+    sides = {
+        "cond_c_fractional": (
+            float(c.dist_to_nearest_int()), 3 * cf * (2 ** (c.floor + 1) - 1) * lnL / L
+        ),
+        "cond_c_lower": (cf, (4 / 3) * (1 + 52 * lnL / L)),
+        "cond_H": (H, N ** (1 - 1 / (2 * cf)) * L * L),
+        "cond_lemma4": (2 * H, n_k_max ** 0.534),
+        "cond_lemma56_y": (h3, math.sqrt(2 * cf * n3) * math.log(n3) ** 2),
+        "cond_lemma8_y": (2 * H, n_k_max ** 0.625 * math.log(n_k_max) ** 19.5),
+    }
     conds = {
-        "cond_c_fractional": Condition(
-            holds=c_frac >= 3 * cf * (2 ** (c.floor + 1) - 1) * lnL / L,
-            lhs=c_frac,
-            rhs=3 * cf * (2 ** (c.floor + 1) - 1) * lnL / L,
-        ),
-        "cond_c_lower": Condition(
-            holds=cf > (4 / 3) * (1 + 52 * lnL / L),
-            lhs=cf,
-            rhs=(4 / 3) * (1 + 52 * lnL / L),
-        ),
-        "cond_H": Condition(
-            holds=H >= N ** (1 - 1 / (2 * cf)) * L * L,
-            lhs=float(H),
-            rhs=N ** (1 - 1 / (2 * cf)) * L * L,
-        ),
-        "cond_lemma4": Condition(
-            holds=2 * H >= n_k_max ** 0.534,
-            lhs=2.0 * H,
-            rhs=n_k_max ** 0.534,
-        ),
-        "cond_lemma56_y": Condition(
-            holds=h3 >= math.sqrt(2 * cf * n3) * math.log(n3) ** 2,
-            lhs=h3,
-            rhs=math.sqrt(2 * cf * n3) * math.log(n3) ** 2,
-        ),
-        "cond_lemma8_y": Condition(
-            holds=2 * H >= n_k_max ** 0.625 * math.log(n_k_max) ** 19.5,
-            lhs=2.0 * H,
-            rhs=n_k_max ** 0.625 * math.log(n_k_max) ** 19.5,
-        ),
+        name: Condition(
+            holds=lhs > rhs if name == "cond_c_lower" else lhs >= rhs,
+            lhs=float(lhs),
+            rhs=rhs,
+        )
+        for name, (lhs, rhs) in sides.items()
     }
     return HypothesisReport(conditions=conds, notes=(_C_LOWER_NOTE,))

@@ -30,7 +30,7 @@ from estermann.circle import (
 from estermann.arith import floor_pow
 from estermann.counting import brute_force_count, fast_count, window_primes
 from estermann.errors import MemoryBudgetExceeded
-from estermann.expsums import PhaseReducer, char_sum, cis
+from estermann.expsums import PhaseReducer, approx_prime_sum, approx_S_c, char_sum, cis
 from estermann.instance import build_instance, derive_params
 from estermann.quadrature import _PANEL_ORDER, adaptive_complex, panel_edges, uniform_edges
 from estermann.sieve import primes_in
@@ -413,6 +413,23 @@ def test_model_minor_arc_meets_tight_tol(inst):
     want = adaptive_complex(f, edges, 1e-14 * f.amp * (0.5 - k), order=24)[0]
     assert abs(rep.I_minor_plus - want) <= tol * f.amp * (0.5 - k)
     assert rep.I_minor_plus.imag == 0.0
+
+
+def test_model_integrand_is_the_product_of_the_approximants():
+    # ModelIntegrand is the two prime-window approximants times the sinc
+    # approximant of S_c, times e(-alpha N) reduced exactly
+    for inst in _crosscheck_style_instances(8, seed=37):
+        dp = derive_params(inst)
+        f = ModelIntegrand(inst, dp)
+        N, H = inst.N, inst.H
+        for alpha in (0.0, dp.kappa / 3, dp.kappa, 0.1, 0.37, 0.5):
+            product = (
+                approx_prime_sum(alpha, H, inst.mu[0], N)
+                * approx_prime_sum(alpha, H, inst.mu[1], N)
+                * approx_S_c(alpha, dp, inst.c, "sinc")
+                * cis(PhaseReducer(alpha).frac_fraction(Fraction(-N)))
+            )
+            assert abs(f(np.array([alpha]))[0] - product) <= 1e-13 * f.amp, (inst, alpha)
 
 
 def test_arcs_model_mode_real_even():

@@ -200,6 +200,23 @@ def test_consecutive_calls_match_fresh_processes(capsys):
         assert out == fresh.stdout
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_out_file_ends_in_newline(fmt, tmp_path, capsys):
+    # --out gets the text stdout gets, final newline included
+    args = ["count", "--N", "12", "--c", "3/2", "--mu", "1/4,1/4,1/2", "--H", "3",
+            "--format", fmt]
+    out_path = tmp_path / f"count.{fmt}"
+    status, printed = run_cli(args, capsys)
+    status_out, nothing = run_cli(args + ["--out", str(out_path)], capsys)
+    assert status == status_out == 0 and nothing == ""
+    written = out_path.read_text()
+    assert printed.endswith("\n") and written.endswith("\n")
+    if fmt == "csv":
+        assert written == printed
+    else:
+        assert json.loads(written)["config"]["out"] == str(out_path)
+
+
 def test_verify_quick_exit_zero(capsys):
     status, out = run_cli(["verify", "--quick"], capsys)
     assert status == 0

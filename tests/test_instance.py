@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from estermann import verify
 from estermann.errors import IntegerExponent, MuSumNotOne, WindowTooWide
 from estermann.instance import build_instance, derive_params, hypothesis_report
 
@@ -160,3 +161,24 @@ def test_cond_H_by_construction_and_monotone():
             hypothesis_report(build_instance(N, "3/2", THIRD, H + 1)).conditions["cond_H"].holds
         )
         assert holds_next or not holds
+
+
+@pytest.mark.parametrize("error", [TypeError, WindowTooWide, ValueError])
+def test_random_instances_skips_only_bad_draws(error, monkeypatch):
+    # a draw that is no valid instance raises ValueError or an EstermannError
+    # and is skipped; any other exception is a defect and surfaces
+    calls = []
+
+    def build_once_failing(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise error("first draw")
+        return build_instance(*args)
+
+    monkeypatch.setattr(verify, "build_instance", build_once_failing)
+    draws = verify.random_instances(3, random.Random(5))
+    if error is TypeError:
+        with pytest.raises(TypeError, match="first draw"):
+            list(draws)
+    else:
+        assert len(list(draws)) == 3 and len(calls) >= 4
