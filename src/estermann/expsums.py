@@ -57,10 +57,15 @@ class PhaseReducer:
         return x
 
     def frac_fraction(self, x: Fraction) -> float:
-        """frac(alpha * x) for an exact rational x."""
+        """frac(alpha * x) in [0, 1) for an exact rational x.
+
+        The exact fraction is correctly rounded, so one within 2^-54 of 1
+        rounds up to 1.0; that is 0.0 in turns, and is returned as such.
+        """
         a_num, a_den = self.alpha.as_integer_ratio()
         den = a_den * x.denominator
-        return (a_num * x.numerator % den) / den
+        turns = (a_num * x.numerator % den) / den
+        return turns if turns < 1.0 else 0.0
 
     def char(self, v) -> np.ndarray:
         """e(alpha*v) for an array of integers."""

@@ -1,20 +1,22 @@
 """Adaptive Gauss-Legendre panel integration for complex-valued integrands.
 
 One rule sizes the panels of every oscillating integral in the package:
-panel_edges gives panels of at most _PERIODS_PER_PANEL periods of a stated
-top frequency, and adaptive_complex integrates each with a Gauss-Legendre
-rule of order _PANEL_ORDER.  Panels refine by bisection, and a panel's
-value is the sum of the rules on its two halves.  A panel is accepted when
-the error of that sum fits its proportional share of the absolute error
-budget.  The error comes from one of two places:
+panel_edges gives equal panels of at most a stated number of periods of a
+stated top frequency, and adaptive_complex integrates each with a
+Gauss-Legendre rule of order _PANEL_ORDER.  Panels refine by bisection.  A
+panel is accepted when its error fits its proportional share of the absolute
+error budget.  The value and the error come from one of two paths:
 
 - the band rule, for an integrand the caller declares band-limited
-  (|f(z)| <= sup * e^(2 pi F |Im z|) on the complex plane): gauss_error_bound,
-  a proven bound that depends only on the panel width, so a panel is
-  bisected before it is evaluated and only the two half rules of an
-  accepted panel are computed;
-- the whole-vs-halves estimate otherwise: the rule on the whole panel is
-  computed as well, and the discrepancy stands for the error.
+  (|f(z)| <= sup * e^(2 pi F |Im z|) on the complex plane): a panel's value
+  is its one rule, and its error gauss_error_bound, a proven bound that
+  depends only on the panel width, so a panel is bisected before it is
+  evaluated and only the rule of an accepted panel is computed.  Its panels
+  span _BAND_PERIODS periods;
+- the whole-vs-halves estimate otherwise: a panel's value is the sum of the
+  rules on its two halves, the rule on the whole panel is computed as well,
+  and the discrepancy stands for the error.  Its panels span
+  _PERIODS_PER_PANEL periods.
 
 The rules of one refinement level are evaluated together: their Gauss nodes
 form one flat 1-D array, the integrand is called once on it (on consecutive
@@ -33,15 +35,17 @@ import numpy as np
 
 from .errors import ToleranceNotMet
 
-# A panel spans at most this many periods of the top frequency.  numpy's
-# order-32 Gauss-Legendre rule integrates e(k*alpha) over a panel of up to P
-# periods with an error, relative to the panel width, of at most 1.7e-15 at
-# P = 8, 9.2e-15 at P = 10 and 1.8e-10 at P = 12.  The accepted value comes
-# from the two 5-period halves, whose proven error (gauss_error_bound) is
-# below 2.6e-31 of the sup times the width, so the band rule splits no panel
-# for any tolerance down to that; the whole-vs-halves estimate splits none
-# for tol >= 1e-12.
+# The estimate path's panels span at most this many periods of the top
+# frequency.  numpy's order-32 Gauss-Legendre rule integrates e(k*alpha) over
+# a panel of up to P periods with an error, relative to the panel width, of
+# at most 1.7e-15 at P = 8, 9.2e-15 at P = 10 and 1.8e-10 at P = 12, so the
+# whole-vs-halves estimate splits no panel for tol >= 1e-12.
 _PERIODS_PER_PANEL = 10.0
+# The band rule's panels span this many periods: the largest whole number at
+# which the order-32 rule's proven error (gauss_error_bound) stays below
+# 2^-53 of the sup times the width, 6.4e-19 at 8 periods against 6.1e-16 at
+# 9.  So the band rule splits no panel for any tolerance down to that.
+_BAND_PERIODS = 8
 _PANEL_ORDER = 32
 
 # Larger levels are evaluated in consecutive slices of whole panels, so the
@@ -104,8 +108,8 @@ def gauss_error_bound(
     1/(rho^2 - 1) factor; at n = 32 it is within 0.06% of the best rho up to
     P = 12.  The bound grows with width.  Where t <= 1 (P >= 2n/pi, 20.4
     periods at n = 32, where no rho does better than the trivial bound) it
-    is inf.  At n = 32 it is 2.5e-31, 2.4e-13 and 4.6e-9 times sup * width
-    at P = 5, 10 and 12.
+    is inf.  At n = 32 it is 2.5e-31, 6.4e-19, 6.1e-16, 2.4e-13 and 4.6e-9
+    times sup * width at P = 5, 8, 9, 10 and 12.
     """
     if sup == 0.0:
         return 0.0
@@ -159,16 +163,17 @@ def adaptive_complex(
     Returns (value, error, evaluation_count).
 
     With band=(top_frequency, sup) the caller promises |f(z)| <= sup *
-    e^(2 pi top_frequency |Im z|) on the complex plane (top_frequency > 0),
-    and the error is the sum of gauss_error_bound over the accepted halves:
-    a proven bound on the rule error, not counting the rounding of the
-    integrand's values.  Each half of a refinement level is bounded as the
-    level's widest, which on panel_edges layouts is every half to within
-    rounding.  A panel whose halves' bound does not fit its share is bisected
-    without being evaluated, and each accepted panel costs 2 * order
-    evaluations.  Without band the error is the sum of the
-    whole-vs-halves estimates, and each refinement level costs 3 * order
-    evaluations per pending panel.
+    e^(2 pi top_frequency |Im z|) on the complex plane (top_frequency > 0).
+    Each panel's value is then its one rule, and the error is the sum of
+    gauss_error_bound over the accepted panels: a proven bound on the rule
+    error, not counting the rounding of the integrand's values.  Each panel
+    of a refinement level is bounded as the level's widest, which on
+    panel_edges layouts is every panel to within rounding.  A panel whose
+    bound does not fit its share is bisected without being evaluated, and
+    each accepted panel costs order evaluations.  Without band a panel's
+    value is the sum of the rules on its two halves, the error is the sum of
+    the whole-vs-halves estimates, and each refinement level costs
+    3 * order evaluations per pending panel.
 
     A panel at max_depth is accepted whatever its error.  Raises
     ToleranceNotMet when the error exceeds abs_tol, or when the panels still
@@ -181,7 +186,7 @@ def adaptive_complex(
     x, w = leggauss(order)
     keep = edges[1:] > edges[:-1]
     a, b = edges[:-1][keep], edges[1:][keep]
-    rules = 3 if band is None else 2
+    rules = 3 if band is None else 1
     accepted: list[tuple[np.ndarray, np.ndarray]] = []
     achieved = 0.0
     n_evals = 0
@@ -198,17 +203,15 @@ def adaptive_complex(
             halves = sums[:, 1] + sums[:, 2]
             err = np.abs(sums[:, 0] - halves)
         else:
-            widest = float(np.maximum(mid - a, b - mid).max())
-            err = np.full(a.size, 2.0 * gauss_error_bound(widest, *band, order))
+            err = np.full(a.size, gauss_error_bound(float((b - a).max()), *band, order))
         if depth >= max_depth:
             ok = np.ones(a.size, dtype=bool)
         else:
             ok = err <= abs_tol * (b - a) / total_width
         if band is not None:
-            a_ok, mid_ok = a[ok], mid[ok]
-            n_evals += 2 * order * a_ok.size
-            sums = _rule_sums(f_batch, (a_ok, mid_ok), (mid_ok, b[ok]), x, w)
-            accepted.append((a_ok, sums[:, 0] + sums[:, 1]))
+            a_ok = a[ok]
+            n_evals += order * a_ok.size
+            accepted.append((a_ok, _rule_sums(f_batch, (a_ok,), (b[ok],), x, w)[:, 0]))
         else:
             accepted.append((a[ok], halves[ok]))
         for e in err[ok].tolist():
@@ -235,12 +238,16 @@ def uniform_edges(a: float, b: float, n_panels: int) -> np.ndarray:
     return np.linspace(a, b, max(1, n_panels) + 1)
 
 
-def panel_edges(a: float, b: float, top_frequency: float) -> np.ndarray:
-    """Equal panels on [a, b], each at most _PERIODS_PER_PANEL periods long.
+def panel_edges(
+    a: float, b: float, top_frequency: float, periods: float = _PERIODS_PER_PANEL
+) -> np.ndarray:
+    """The fewest equal panels on [a, b], each at most periods periods long.
 
-    A period is 1/top_frequency; a top frequency of 0 gives one panel.
+    A period is 1/top_frequency; a top frequency of 0 gives one panel.  The
+    default suits the whole-vs-halves estimate; band-rule callers pass
+    _BAND_PERIODS.
     """
     if top_frequency <= 0:
         return uniform_edges(a, b, 1)
-    width = _PERIODS_PER_PANEL / top_frequency
+    width = periods / top_frequency
     return uniform_edges(a, b, math.ceil((b - a) / width))

@@ -38,7 +38,7 @@ from .expsums import (
     exp_integral,
 )
 from .instance import build_instance, derive_params
-from .quadrature import gauss_error_bound, leggauss
+from .quadrature import _BAND_PERIODS, adaptive_complex, gauss_error_bound, leggauss, panel_edges
 from .sieve import lambda_segment, primes_in, psi
 
 Check = tuple[str, bool, str]
@@ -255,8 +255,23 @@ def check_quadrature_selftest(quick: bool) -> Check:
         if not err <= bound + 1e-14 * sup * width:
             return ("quadrature_selftest", False,
                     f"Gauss error {err:.3g} above its proven bound {bound:.3g} at {periods} periods")
+    # The band rule as integrate_arcs runs it, one order-32 rule per
+    # _BAND_PERIODS-period panel over a run of 48 periods, within its proven
+    # bound plus the same allowance of the closed form.
+    a = rng.random() - 0.5
+    b = a + 6 * _BAND_PERIODS / F
+    f = lambda t: np.exp(2j * np.pi * np.multiply.outer(t, ks)) @ coeffs
+    value, achieved, _ = adaptive_complex(
+        f, panel_edges(a, b, F, _BAND_PERIODS), 1e-10 * sup * (b - a), band=(F, sup)
+    )
+    err = abs(value - _exp_segment(ks, a, b) @ coeffs)
+    if not err <= achieved + 1e-14 * sup * (b - a):
+        return ("quadrature_selftest", False,
+                f"band rule off by {err:.3g}, above its bound {achieved:.3g} on "
+                f"{_BAND_PERIODS}-period panels")
     return ("quadrature_selftest", True,
-            "linear kernel, sin^3 tail, J(H) within bands; Gauss bound holds at 10, 12 periods")
+            "linear kernel, sin^3 tail, J(H) within bands; Gauss bound holds at 10, 12 "
+            f"periods; band rule within its bound on {_BAND_PERIODS}-period panels")
 
 
 def check_si_oracle(quick: bool) -> Check:

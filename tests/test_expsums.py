@@ -99,6 +99,35 @@ def test_phase_reducer_fraction():
     assert r.frac_fraction(Fraction(10, 3)) == pytest.approx((0.25 * 10 / 3) % 1.0, abs=1e-15)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    alpha=st.floats(-0.5, 0.5) | st.floats(-1e-15, 1e-15),
+    num=st.integers(-10 ** 12, 10 ** 12),
+    den=st.integers(1, 10 ** 6),
+)
+@example(alpha=-1e-17, num=1, den=2)  # alpha * x in (-2^-54, 0) rounded up to 1.0
+@example(alpha=0.5 - 2.0 ** -54, num=-1, den=1)
+def test_phase_reducer_fraction_in_unit_interval(alpha, num, den):
+    x = Fraction(num, den)
+    got = PhaseReducer(alpha).frac_fraction(x)
+    assert 0.0 <= got < 1.0
+    want = Fraction(alpha) * x % 1
+    diff = abs(Fraction(got) - want)
+    assert min(diff, 1 - diff) <= 2.0 ** -54
+
+
+def test_approx_S1_phase_just_below_a_whole_turn():
+    # the centre phase alpha * (x - y/2) = -5e-18 turn: e() of it has
+    # imaginary part -3.1e-17, which a phase rounded up to 1.0 turns into
+    # sin(2 pi) in double, -2.4e-16
+    alpha, x, y = -1e-17, 1, 1
+    with mp.workdps(40):
+        a = mp.mpf(alpha)
+        want = y * mp.sinc(mp.pi * a * y) * mp.expjpi(2 * a * (x - mp.mpf(y) / 2))
+    got = approx_S1(alpha, x, y)
+    assert abs(got - complex(want)) <= 2.0 ** -53 * y
+
+
 def test_sinc_series_branch():
     assert sinc(0.0) == 1.0
     z = 1e-5

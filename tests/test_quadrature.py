@@ -16,6 +16,7 @@ from estermann.expsums import PhaseReducer, char_sum, cis
 from estermann import quadrature
 from estermann.instance import build_instance
 from estermann.quadrature import (
+    _BAND_PERIODS,
     _PANEL_ORDER,
     _PERIODS_PER_PANEL,
     adaptive_complex,
@@ -76,9 +77,10 @@ def band_bound_reference(width, top_frequency, sup, order):
 def per_panel_reference(f, edges, abs_tol, order, max_depth=16, band=None):
     """The panel-at-a-time algorithm: one integrand call per Gauss rule.
 
-    Without band a panel's error is its whole-vs-halves discrepancy; with
-    band=(top_frequency, sup) it is band_bound_reference on its two halves,
-    known before the panel is evaluated, and only accepted panels are.
+    Without band a panel's value is the sum of its two half rules and its
+    error the whole-vs-halves discrepancy; with band=(top_frequency, sup) its
+    value is its one rule and its error band_bound_reference on the whole
+    panel, known before the panel is evaluated, and only accepted panels are.
     """
     x, w = leggauss(order)
 
@@ -95,15 +97,15 @@ def per_panel_reference(f, edges, abs_tol, order, max_depth=16, band=None):
             mid = 0.5 * (a + b)
             if band is None:
                 n_evals += 3 * order
-                halves = rule(a, mid) + rule(mid, b)
-                err = abs(rule(a, b) - halves)
+                value = rule(a, mid) + rule(mid, b)
+                err = abs(rule(a, b) - value)
             else:
-                err = sum(band_bound_reference(h, *band, order) for h in (mid - a, b - mid))
+                err = band_bound_reference(b - a, *band, order)
             if err <= abs_tol * (b - a) / total_width or depth >= max_depth:
                 if band is not None:
-                    n_evals += 2 * order
-                    halves = rule(a, mid) + rule(mid, b)
-                accepted.append((a, halves))
+                    n_evals += order
+                    value = rule(a, b)
+                accepted.append((a, value))
                 achieved += err
             else:
                 pending += [(a, mid, depth + 1), (mid, b, depth + 1)]
@@ -287,44 +289,66 @@ def band_cases():
     cs = np.array(list(coeffs.values()))
     # a sum along the last axis, so a node's value does not depend on its batch
     f = lambda alpha: (np.exp(2j * np.pi * np.multiply.outer(alpha, ks)) * cs).sum(axis=-1)
-    return f, F, float(cs.sum())
+    return f, F, float(cs.sum()), coeffs
+
+
+def trig_closed_form(coeffs: dict, a: float, b: float) -> complex:
+    """The integral of sum c_k e(k alpha) over [a, b], each phase reduced in exact rationals."""
+    turn = lambda k, t: e(float(Fraction(t) * k % 1))
+    return sum(c * (b - a) if k == 0 else c * (turn(k, b) - turn(k, a)) / (2j * math.pi * k)
+               for k, c in coeffs.items())
 
 
 @pytest.mark.parametrize("a, b", [(0.0, 0.5), (0.0123, 0.5), (-0.5, 0.5), (0.3, 0.31)])
 def test_band_path_matches_estimate_path_on_panel_edges(a, b):
-    f, F, sup = band_cases()
-    edges = panel_edges(a, b, F)
-    panels = len(edges) - 1
+    # each path on the layout it is used with: the band rule's one rule per
+    # _BAND_PERIODS-period panel, the estimate's two half rules per
+    # _PERIODS_PER_PANEL-period panel; neither splits a panel, and both meet
+    # the closed form within their own error, plus rounding
+    f, F, sup, coeffs = band_cases()
+    band_edges, edges = panel_edges(a, b, F, _BAND_PERIODS), panel_edges(a, b, F)
     tol = 1e-10 * sup * (b - a)
-    value, err, n_evals = adaptive_complex(f, edges, tol, band=(F, sup))
+    value, err, n_evals = adaptive_complex(f, band_edges, tol, band=(F, sup))
     estimate = adaptive_complex(f, edges, tol)
-    # neither splits a panel, and both take each panel's two half rules
-    assert estimate[2] == 3 * _PANEL_ORDER * panels
-    assert n_evals == 2 * _PANEL_ORDER * panels
-    assert value == estimate[0]
+    assert estimate[2] == 3 * _PANEL_ORDER * (len(edges) - 1)
+    assert n_evals == _PANEL_ORDER * (len(band_edges) - 1)
+    exact = trig_closed_form(coeffs, a, b)
+    rounding = 1e-14 * sup * (b - a)
+    assert abs(value - exact) <= err + rounding
+    assert abs(estimate[0] - exact) <= estimate[1] + rounding
     assert err <= tol and err == pytest.approx(
-        sum(band_bound_reference(h, F, sup, _PANEL_ORDER)
-            for lo, hi in zip(edges[:-1], edges[1:]) for h in (0.5 * (hi - lo),) * 2),
+        sum(band_bound_reference(hi - lo, F, sup, _PANEL_ORDER)
+            for lo, hi in zip(band_edges[:-1], band_edges[1:])),
         rel=1e-9)
 
 
 def test_band_path_matches_per_panel_reference_with_splits():
-    # one panel of 40 periods: its 20-period halves have no finite bound, so
-    # it splits; at tol 1e-14 the 10-period halves do not fit either, and the
-    # four 10-period panels are accepted on their 5-period halves
-    f, F, sup = band_cases()
+    # one panel of 40 periods has no finite bound, and 20 periods bound at
+    # 5.7 of sup * width, so it splits twice; at tol 1e-10 the four
+    # 10-period panels fit, and at tol 1e-14 (10 periods bound at 2.4e-13)
+    # they split once more into eight 5-period panels
+    f, F, sup, _ = band_cases()
     width = 40.0 / F
-    for tol, panels in ((1e-10, 2), (1e-14, 4)):
+    for tol, panels in ((1e-10, 4), (1e-14, 8)):
         abs_tol = tol * sup * width
         got = adaptive_complex(f, [0.1, 0.1 + width], abs_tol, band=(F, sup))
         want = per_panel_reference(f, [0.1, 0.1 + width], abs_tol, _PANEL_ORDER, band=(F, sup))
-        assert got[2] == want[2] == 2 * _PANEL_ORDER * panels
+        assert got[2] == want[2] == _PANEL_ORDER * panels
         assert got[0] == want[0]
         assert got[1] == pytest.approx(want[1], rel=1e-9)
 
 
+def test_band_periods_is_the_largest_whole_number_below_double_rounding():
+    # the band rule's panels are as long as the order-32 rule's proven error
+    # allows while it stays within 2^-53 of sup * width, for any top frequency
+    for F, sup in ((1.0, 1.0), (211.0, 37.5), (3e5, 1e12)):
+        fits = [gauss_error_bound(P / F, F, sup) <= 2.0 ** -53 * sup * (P / F)
+                for P in range(1, 21)]
+        assert all(fits[:_BAND_PERIODS]) and not any(fits[_BAND_PERIODS:])
+
+
 def test_band_path_absurd_tolerance_raises():
-    f, F, sup = band_cases()
+    f, F, sup, _ = band_cases()
     calls = []
 
     def counted(alpha):
