@@ -29,7 +29,7 @@ from .counting import (
 )
 from .errors import ConvolutionCheckFailed, MemoryBudgetExceeded
 from .instance import DerivedParams, ProblemInstance, derive_params, log_centres
-from .quadrature import _BAND_PERIODS, adaptive_complex, panel_edges
+from .quadrature import _BAND_ORDER, _BAND_PERIODS, adaptive_complex, panel_edges
 
 
 class ExactIntegrand:
@@ -460,21 +460,22 @@ def integrate_arcs(
     integrand's conjugate symmetry gives I_major = 2 Re of the first and
     I_minor_minus = conj(I_minor_plus).  When kappa >= 1/2 the second
     interval is empty: I_major is the full integral and both minor integrals
-    are zero.  Quadrature panels span at most _BAND_PERIODS = 8 periods of
+    are zero.  Quadrature panels span at most _BAND_PERIODS = 24 periods of
     the top frequency (quadrature.panel_edges), and adaptive_complex takes
-    them by its band rule: both integrands are band-limited with a known
-    sup.  The exact integrand is a sum of e(k alpha) with non-negative
-    coefficients and |k| <= max_frequency(), so its modulus off the real
-    line is at most its value at 0, |P1| |P2| |V|, times
-    e^(2 pi max_frequency() |Im alpha|).  The model integrand is
-    amp sinc^3(2 pi H alpha), and sinc w = integral of cos(t w) over [0, 1]
-    gives |sinc w| <= e^|Im w|, so its sup is amp with top frequency 3H.
+    them by its band rule of order _BAND_ORDER = 64: both integrands are
+    band-limited with a known sup.  The exact integrand is a sum of
+    e(k alpha) with non-negative coefficients and |k| <= max_frequency(),
+    so its modulus off the real line is at most its value at 0,
+    |P1| |P2| |V|, times e^(2 pi max_frequency() |Im alpha|).  The model
+    integrand is amp sinc^3(2 pi H alpha), and sinc w = integral of
+    cos(t w) over [0, 1] gives |sinc w| <= e^|Im w|, so its sup is amp with
+    top frequency 3H.
     Each arc's rule-error bound must fit tol * max(sup, 1) * (its width).
     In model mode the minor arc is the closed form ModelIntegrand.integral,
     so achieved_error and n_evals count the major arc only.  achieved_error
     counts the bound on [0, 1/2] twice, once for its mirror image; n_evals
-    counts the quadrature's integrand evaluations, one 32-point rule per
-    8-period panel, which are made once each.  Exact mode also computes the
+    counts the quadrature's integrand evaluations, one 64-point rule per
+    24-period panel, which are made once each.  Exact mode also computes the
     convolution count, whose agreement with Re(sum of the three integrals)
     is the additivity cross-check, and the one check that covers the
     integrand's rounding.  dp, when given, must be derive_params(inst).
@@ -505,7 +506,8 @@ def integrate_arcs(
     def run(a: float, b: float) -> tuple[complex, float, int]:
         edges = panel_edges(a, b, fmax, _BAND_PERIODS)
         return adaptive_complex(
-            integrand, edges, abs_tol=tol * scale * (b - a), band=(fmax, peak)
+            integrand, edges, abs_tol=tol * scale * (b - a), order=_BAND_ORDER,
+            band=(fmax, peak),
         )
 
     I_half, e_major, n_major = run(0.0, k)

@@ -49,12 +49,16 @@ class PhaseReducer:
         self._rest = r / (den << 64)
 
     def frac(self, v) -> np.ndarray:
-        """frac(alpha*v) in [0, 1) for an array of integers of either sign."""
+        """frac(alpha*v) in [0, 1) for an array of integers of either sign.
+
+        A reduced phase in (-2^-54, 0) has floor -1, so x - floor(x) rounds
+        up to 1.0; that is 0.0 in turns, and is returned as such.
+        """
         v = np.asarray(v, dtype=np.int64)
         x = np.multiply(v.view(np.uint64) * self._m, _TURN_PER_WRAP)
         x += self._rest * v
         x -= np.floor(x)
-        return x
+        return np.where(x < 1.0, x, 0.0)
 
     def frac_fraction(self, x: Fraction) -> float:
         """frac(alpha * x) in [0, 1) for an exact rational x.

@@ -3,16 +3,17 @@
 One rule sizes the panels of every oscillating integral in the package:
 panel_edges gives equal panels of at most a stated number of periods of a
 stated top frequency, and adaptive_complex integrates each with a
-Gauss-Legendre rule of order _PANEL_ORDER.  Panels refine by bisection.  A
-panel is accepted when its error fits its proportional share of the absolute
-error budget.  The value and the error come from one of two paths:
+Gauss-Legendre rule of the caller's order (_PANEL_ORDER unless it states
+one).  Panels refine by bisection.  A panel is accepted when its error fits
+its proportional share of the absolute error budget.  The value and the
+error come from one of two paths:
 
 - the band rule, for an integrand the caller declares band-limited
   (|f(z)| <= sup * e^(2 pi F |Im z|) on the complex plane): a panel's value
   is its one rule, and its error gauss_error_bound, a proven bound that
   depends only on the panel width, so a panel is bisected before it is
   evaluated and only the rule of an accepted panel is computed.  Its panels
-  span _BAND_PERIODS periods;
+  span _BAND_PERIODS periods under a rule of order _BAND_ORDER;
 - the whole-vs-halves estimate otherwise: a panel's value is the sum of the
   rules on its two halves, the rule on the whole panel is computed as well,
   and the discrepancy stands for the error.  Its panels span
@@ -41,12 +42,15 @@ from .errors import ToleranceNotMet
 # at most 1.7e-15 at P = 8, 9.2e-15 at P = 10 and 1.8e-10 at P = 12, so the
 # whole-vs-halves estimate splits no panel for tol >= 1e-12.
 _PERIODS_PER_PANEL = 10.0
-# The band rule's panels span this many periods: the largest whole number at
-# which the order-32 rule's proven error (gauss_error_bound) stays below
-# 2^-53 of the sup times the width, 6.4e-19 at 8 periods against 6.1e-16 at
-# 9.  So the band rule splits no panel for any tolerance down to that.
-_BAND_PERIODS = 8
 _PANEL_ORDER = 32
+# The band rule's panels span this many periods under a rule of this order:
+# the largest whole number at which the order-64 rule's proven error
+# (gauss_error_bound) stays below 2^-53 of the sup times the width, 9.0e-18
+# at 24 periods against 5.9e-16 at 25.  So the band rule splits no panel for
+# any tolerance down to that, at 2.67 evaluations per period (the order-32
+# rule would need 4.0, on 8-period panels).
+_BAND_ORDER = 64
+_BAND_PERIODS = 24
 
 # Larger levels are evaluated in consecutive slices of whole panels, so the
 # node and value arrays stay bounded whatever the panel count.
@@ -106,10 +110,12 @@ def gauss_error_bound(
     |f| on E_rho, and the panel scales it by width/2.  The rho used,
     t + sqrt(t^2 - 1) with t = 2n/(pi P), minimizes all but the
     1/(rho^2 - 1) factor; at n = 32 it is within 0.06% of the best rho up to
-    P = 12.  The bound grows with width.  Where t <= 1 (P >= 2n/pi, 20.4
-    periods at n = 32, where no rho does better than the trivial bound) it
-    is inf.  At n = 32 it is 2.5e-31, 6.4e-19, 6.1e-16, 2.4e-13 and 4.6e-9
-    times sup * width at P = 5, 8, 9, 10 and 12.
+    P = 12, and at n = 64 within 0.04% up to P = 25.  The bound grows with
+    width.  Where t <= 1 (P >= 2n/pi, 20.4 periods at n = 32 and 40.7 at
+    n = 64, where no rho does better than the trivial bound) it is inf.  At
+    n = 32 it is 2.5e-31, 6.4e-19, 6.1e-16, 2.4e-13 and 4.6e-9 times
+    sup * width at P = 5, 8, 9, 10 and 12; at n = 64 it is 9.0e-18 and
+    5.9e-16 at P = 24 and 25.
     """
     if sup == 0.0:
         return 0.0
@@ -159,7 +165,8 @@ def adaptive_complex(
 ) -> tuple[complex, float, int]:
     """Integrate f over the partition given by edges.
 
-    The default order is the panel rule's, for edges from panel_edges.
+    The default order is the panel rule's, for edges from panel_edges;
+    band-rule callers on _BAND_PERIODS-period panels pass _BAND_ORDER.
     Returns (value, error, evaluation_count).
 
     With band=(top_frequency, sup) the caller promises |f(z)| <= sup *
@@ -245,7 +252,7 @@ def panel_edges(
 
     A period is 1/top_frequency; a top frequency of 0 gives one panel.  The
     default suits the whole-vs-halves estimate; band-rule callers pass
-    _BAND_PERIODS.
+    _BAND_PERIODS (and order _BAND_ORDER to adaptive_complex).
     """
     if top_frequency <= 0:
         return uniform_edges(a, b, 1)

@@ -33,8 +33,8 @@ from estermann.errors import MemoryBudgetExceeded
 from estermann.expsums import PhaseReducer, approx_prime_sum, approx_S_c, char_sum, cis
 from estermann.instance import build_instance, derive_params
 from estermann.quadrature import (
+    _BAND_ORDER,
     _BAND_PERIODS,
-    _PANEL_ORDER,
     adaptive_complex,
     panel_edges,
     uniform_edges,
@@ -520,8 +520,9 @@ def test_arc_report_derived_values(mode, H):
     (2000, "3/2", THIRD, 35, "exact"),  # kappa >= 1/2: one interval
 ])
 def test_arcs_band_rule_bound_and_evaluations(N, c, mu, H, mode):
-    # every 8-period panel is accepted on its one rule, 32 evaluations, and
-    # the proven bound fits tol * max(sup, 1) over the whole period
+    # every _BAND_PERIODS-period panel is accepted on its one rule,
+    # _BAND_ORDER evaluations, and the proven bound fits tol * max(sup, 1)
+    # over the whole period
     inst = build_instance(N, c, mu, H)
     tol = 1e-6
     rep = integrate_arcs(inst, mode=mode, tol=tol)
@@ -535,7 +536,7 @@ def test_arcs_band_rule_bound_and_evaluations(N, c, mu, H, mode):
         sup = ModelIntegrand(inst, derive_params(inst)).amp
         arcs = [(0.0, rep.kappa)]
     panels = sum(len(panel_edges(a, b, fmax, _BAND_PERIODS)) - 1 for a, b in arcs if b > a)
-    assert rep.n_evals == _PANEL_ORDER * panels
+    assert rep.n_evals == _BAND_ORDER * panels
     assert 0.0 < rep.achieved_error <= tol * max(sup, 1.0)
     assert rep.additivity_error < 0.5 or mode == "model"
 

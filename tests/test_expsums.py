@@ -56,14 +56,14 @@ def test_phase_reducer_float_matches_bigint():
         assert np.minimum(diff, 1 - diff).max() <= 1e-12
 
 
-def _assert_within_2_52(alpha: float, v: list[int]) -> None:
+def _assert_within_2_52(alpha: float, v: list[int], ulps: Fraction = Fraction(1)) -> None:
     # distance mod 1, in exact rationals, from frac of the double alpha times v
     got = PhaseReducer(alpha).frac(np.array(v, dtype=np.int64))
     assert np.all((got >= 0) & (got < 1))
     num, den = alpha.as_integer_ratio()
     for g, x in zip(got.tolist(), v):
         d = Fraction(g) - Fraction(num * x % den, den)
-        assert abs(d - round(d)) <= Fraction(1, 2 ** 52), (alpha, x, g)
+        assert abs(d - round(d)) <= ulps / 2 ** 52, (alpha, x, g)
 
 
 def test_phase_reducer_within_2_52_of_exact():
@@ -114,6 +114,26 @@ def test_phase_reducer_fraction_in_unit_interval(alpha, num, den):
     want = Fraction(alpha) * x % 1
     diff = abs(Fraction(got) - want)
     assert min(diff, 1 - diff) <= 2.0 ** -54
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    alpha=st.floats(-0.5, 0.5) | st.floats(-1e-15, 1e-15),
+    v=st.lists(st.integers(-(2 ** 62), 2 ** 62) | st.integers(-1000, 1000),
+               min_size=1, max_size=20),
+)
+@example(alpha=1e-20, v=[-1, -3])  # alpha * v in (-2^-54, 0) rounded up to 1.0
+@example(alpha=-1e-17, v=[1, 2 ** 20])
+def test_phase_reducer_frac_in_unit_interval(alpha, v):
+    # in [0, 1), and within the stated 1.5 * 2^-52 turn for every |v| < 2^63
+    _assert_within_2_52(alpha, v, ulps=Fraction(3, 2))
+
+
+def test_char_sum_phase_just_below_a_whole_turn():
+    # alpha * v = -1e-20 turn: e() of it has imaginary part -6.3e-20, which a
+    # phase rounded up to 1.0 turns into sin(2 pi) in double, -2.4e-16
+    got = char_sum(1e-20, [-1])
+    assert abs(got - cmath.exp(-2j * math.pi * 1e-20)) <= 1e-18
 
 
 def test_approx_S1_phase_just_below_a_whole_turn():

@@ -16,6 +16,7 @@ from estermann.expsums import PhaseReducer, char_sum, cis
 from estermann import quadrature
 from estermann.instance import build_instance
 from estermann.quadrature import (
+    _BAND_ORDER,
     _BAND_PERIODS,
     _PANEL_ORDER,
     _PERIODS_PER_PANEL,
@@ -208,6 +209,22 @@ def mp_leggauss(n: int, dps: int = 80):
     return rule
 
 
+def test_band_order_leggauss_matches_80_digit_rule():
+    # the band rule's nodes within 2^-53 of the 80-digit ones (6.4e-17
+    # measured), and its weights within 1e-14 in sum (2.3e-15; numpy's own
+    # order-64 rule is 1.7e-14 off), so the rule's own rounding stays near
+    # 1e-15 of sup * width
+    import mpmath as mp
+
+    x, w = leggauss(_BAND_ORDER)
+    with mp.workdps(80):
+        rule = mp_leggauss(_BAND_ORDER)
+        node_err = max(abs(mp.mpf(t) - ref) for t, (ref, _) in zip(x.tolist(), rule))
+        weight_err = sum(abs(mp.mpf(v) - ref) for v, (_, ref) in zip(w.tolist(), rule))
+    assert node_err <= 2.0 ** -53
+    assert weight_err <= 1e-14
+
+
 def trig_rule_error(coeffs: dict, a: float, width: float, rule, dps: int = 80) -> float:
     """|Gauss rule - integral| of sum c_k e(k alpha) over [a, a + width], at dps digits.
 
@@ -230,19 +247,22 @@ def trig_rule_error(coeffs: dict, a: float, width: float, rule, dps: int = 80) -
 def test_gauss_error_bound_dominates_rule_error(seed):
     # seeded non-negative trigonometric polynomials of top frequency F: the
     # order-32 rule's error, at 80 digits so rounding cannot hide it, stays
-    # below the proven bound on panels of 2.5 to 12 periods
+    # below the proven bound on panels of 2.5 to 12 periods, and the band
+    # rule's (order 64) on panels of 16 to 24 periods
     rng = random.Random(seed)
     F = rng.randint(5, 60)
     coeffs = {k: rng.random() for k in range(-F, F + 1) if rng.random() < 0.5}
     coeffs[rng.choice((F, -F))] = rng.random()
     sup = sum(coeffs.values())
-    rule = mp_leggauss(_PANEL_ORDER)
-    for periods in (2.5, 5.0, 8.0, 10.0, 12.0):
-        width = periods / F
-        err = trig_rule_error(coeffs, rng.uniform(-0.5, 0.5), width, rule)
-        bound = gauss_error_bound(width, F, sup)
-        assert err <= bound
-        assert bound == pytest.approx(band_bound_reference(width, F, sup, _PANEL_ORDER), rel=1e-12)
+    for order, periods_list in ((_PANEL_ORDER, (2.5, 5.0, 8.0, 10.0, 12.0)),
+                                (_BAND_ORDER, (16.0, 20.0, 24.0))):
+        rule = mp_leggauss(order)
+        for periods in periods_list:
+            width = periods / F
+            err = trig_rule_error(coeffs, rng.uniform(-0.5, 0.5), width, rule)
+            bound = gauss_error_bound(width, F, sup, order)
+            assert err <= bound
+            assert bound == pytest.approx(band_bound_reference(width, F, sup, order), rel=1e-12)
 
 
 def test_gauss_error_bound_is_sharp_for_the_top_frequency():
@@ -301,49 +321,51 @@ def trig_closed_form(coeffs: dict, a: float, b: float) -> complex:
 
 @pytest.mark.parametrize("a, b", [(0.0, 0.5), (0.0123, 0.5), (-0.5, 0.5), (0.3, 0.31)])
 def test_band_path_matches_estimate_path_on_panel_edges(a, b):
-    # each path on the layout it is used with: the band rule's one rule per
-    # _BAND_PERIODS-period panel, the estimate's two half rules per
-    # _PERIODS_PER_PANEL-period panel; neither splits a panel, and both meet
-    # the closed form within their own error, plus rounding
+    # each path on the layout it is used with: the band rule's one
+    # order-_BAND_ORDER rule per _BAND_PERIODS-period panel, the estimate's
+    # two order-_PANEL_ORDER half rules per _PERIODS_PER_PANEL-period panel;
+    # neither splits a panel, and both meet the closed form within their own
+    # error, plus rounding
     f, F, sup, coeffs = band_cases()
     band_edges, edges = panel_edges(a, b, F, _BAND_PERIODS), panel_edges(a, b, F)
     tol = 1e-10 * sup * (b - a)
-    value, err, n_evals = adaptive_complex(f, band_edges, tol, band=(F, sup))
+    value, err, n_evals = adaptive_complex(f, band_edges, tol, order=_BAND_ORDER, band=(F, sup))
     estimate = adaptive_complex(f, edges, tol)
     assert estimate[2] == 3 * _PANEL_ORDER * (len(edges) - 1)
-    assert n_evals == _PANEL_ORDER * (len(band_edges) - 1)
+    assert n_evals == _BAND_ORDER * (len(band_edges) - 1)
     exact = trig_closed_form(coeffs, a, b)
     rounding = 1e-14 * sup * (b - a)
     assert abs(value - exact) <= err + rounding
     assert abs(estimate[0] - exact) <= estimate[1] + rounding
     assert err <= tol and err == pytest.approx(
-        sum(band_bound_reference(hi - lo, F, sup, _PANEL_ORDER)
+        sum(band_bound_reference(hi - lo, F, sup, _BAND_ORDER)
             for lo, hi in zip(band_edges[:-1], band_edges[1:])),
         rel=1e-9)
 
 
 def test_band_path_matches_per_panel_reference_with_splits():
-    # one panel of 40 periods has no finite bound, and 20 periods bound at
-    # 5.7 of sup * width, so it splits twice; at tol 1e-10 the four
-    # 10-period panels fit, and at tol 1e-14 (10 periods bound at 2.4e-13)
-    # they split once more into eight 5-period panels
+    # at order 64, one panel of 96 periods and its 48-period halves have no
+    # finite bound (past 2n/pi = 40.7 periods), so it splits twice; at tol
+    # 1e-10 the four 24-period panels fit (bound 9.0e-18 of sup * width),
+    # and at tol 1e-18 they split once more into eight 12-period panels
     f, F, sup, _ = band_cases()
-    width = 40.0 / F
-    for tol, panels in ((1e-10, 4), (1e-14, 8)):
+    width = 96.0 / F
+    for tol, panels in ((1e-10, 4), (1e-18, 8)):
         abs_tol = tol * sup * width
-        got = adaptive_complex(f, [0.1, 0.1 + width], abs_tol, band=(F, sup))
-        want = per_panel_reference(f, [0.1, 0.1 + width], abs_tol, _PANEL_ORDER, band=(F, sup))
-        assert got[2] == want[2] == _PANEL_ORDER * panels
+        got = adaptive_complex(f, [0.1, 0.1 + width], abs_tol, order=_BAND_ORDER, band=(F, sup))
+        want = per_panel_reference(f, [0.1, 0.1 + width], abs_tol, _BAND_ORDER, band=(F, sup))
+        assert got[2] == want[2] == _BAND_ORDER * panels
         assert got[0] == want[0]
         assert got[1] == pytest.approx(want[1], rel=1e-9)
 
 
 def test_band_periods_is_the_largest_whole_number_below_double_rounding():
-    # the band rule's panels are as long as the order-32 rule's proven error
-    # allows while it stays within 2^-53 of sup * width, for any top frequency
+    # the band rule's panels are as long as the order-_BAND_ORDER rule's
+    # proven error allows while it stays within 2^-53 of sup * width, for
+    # any top frequency
     for F, sup in ((1.0, 1.0), (211.0, 37.5), (3e5, 1e12)):
-        fits = [gauss_error_bound(P / F, F, sup) <= 2.0 ** -53 * sup * (P / F)
-                for P in range(1, 21)]
+        fits = [gauss_error_bound(P / F, F, sup, _BAND_ORDER) <= 2.0 ** -53 * sup * (P / F)
+                for P in range(1, 41)]
         assert all(fits[:_BAND_PERIODS]) and not any(fits[_BAND_PERIODS:])
 
 
