@@ -21,12 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .counting import (
-    DEFAULT_MEM_ENTRIES,
-    admissible_floor_values,
-    fast_count,
-    window_primes,
-)
+from .counting import DEFAULT_MEM_ENTRIES, Windows, build_windows, fast_count
 from .errors import ConvolutionCheckFailed, MemoryBudgetExceeded
 from .instance import DerivedParams, ProblemInstance, derive_params, log_centres
 from .quadrature import _BAND_ORDER, _BAND_PERIODS, adaptive_complex, panel_edges
@@ -53,18 +48,16 @@ class ExactIntegrand:
     # 128 KiB per work buffer: a chunk's arrays stay in L2 and peak RSS stays flat
     _CHUNK_ELEMENTS = 1 << 14
 
-    def __init__(self, inst: ProblemInstance):
-        self.inst = inst
-        self.p1 = window_primes(inst, 1)
-        self.p2 = window_primes(inst, 2)
-        _, self.values = admissible_floor_values(inst)
-        windows = (self.p1, self.p2, self.values)
+    def __init__(self, windows: Windows):
+        self.windows = windows
+        inst = windows.inst
         b1, b2 = round(inst.mu_N(1)), round(inst.mu_N(2))
         bases = (b1, b2, inst.N - b1 - b2)
+        sets = (windows.p1, windows.p2, windows.values)
         self._offsets = np.concatenate(
-            [np.asarray(w, dtype=np.int64) - b for w, b in zip(windows, bases)]
+            [np.asarray(w, dtype=np.int64) - b for w, b in zip(sets, bases)]
         ).astype(np.float64)
-        self._bounds = np.cumsum([0] + [len(w) for w in windows])
+        self._bounds = np.cumsum([0] + [len(w) for w in sets])
         # Three work buffers, allocated once and reused by every chunk.  With
         # fresh 128 KiB temporaries per chunk, glibc trims the heap top after
         # each chunk and faults the pages back in on the next one, unless an
@@ -76,16 +69,15 @@ class ExactIntegrand:
         self._step = max(1, self._CHUNK_ELEMENTS // max(self._offsets.size, 1))
         self._work = np.empty((3, self._step, self._offsets.size))
 
-    def is_empty(self) -> bool:
-        return any(len(w) == 0 for w in (self.p1, self.p2, self.values))
-
     def max_frequency(self) -> float:
         """Largest |p1 + p2 + v - N| over the attainable support."""
-        if self.is_empty():
+        w = self.windows
+        if w.empty:
             return 1.0
-        smin = int(self.p1[0] + self.p2[0] + self.values.min())
-        smax = int(self.p1[-1] + self.p2[-1] + self.values.max())
-        return float(max(abs(smin - self.inst.N), abs(smax - self.inst.N), 1))
+        smin = int(w.p1[0] + w.p2[0] + w.values.min())
+        smax = int(w.p1[-1] + w.p2[-1] + w.values.max())
+        N = w.inst.N
+        return float(max(abs(smin - N), abs(smax - N), 1))
 
     def _chunk(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Real and imaginary parts of the integrand at a chunk of alphas."""
@@ -115,7 +107,7 @@ class ExactIntegrand:
     def __call__(self, alphas: np.ndarray) -> np.ndarray:
         a = np.asarray(alphas, dtype=np.float64)
         out = np.zeros(a.shape, dtype=complex)
-        if self.is_empty():
+        if self.windows.empty:
             return out
         step = self._step
         for start in range(0, a.size, step):
@@ -284,12 +276,14 @@ def _fft_pair_counts(e1: np.ndarray, e2: np.ndarray, n: int) -> Optional[np.ndar
 
 
 def exact_convolution_count(
-    inst: ProblemInstance, *, mem_entries: int = DEFAULT_MEM_ENTRIES
+    inst: ProblemInstance | Windows, *, mem_entries: int = DEFAULT_MEM_ENTRIES
 ) -> int:
     """The count as the N-th coefficient of the indicator-product series.
 
     The two prime indicators are convolved into pair counts, and the entries
     at N - v are gathered for every floor-power value v.  No quadrature.
+    Takes an instance, whose windows it builds, or windows already built
+    by counting.build_windows.
 
     Direct path: np.convolve on float64 indicators, where numpy computes
     each output entry as a BLAS dot product.  It is exact by construction:
@@ -320,11 +314,10 @@ def exact_convolution_count(
     mem_entries, and ConvolutionCheckFailed when the direct path's entries
     do not sum to |P1|*|P2|.
     """
-    p1 = window_primes(inst, 1)
-    p2 = window_primes(inst, 2)
-    _, values = admissible_floor_values(inst)
-    if len(p1) == 0 or len(p2) == 0 or len(values) == 0:
+    w = inst if isinstance(inst, Windows) else build_windows(inst)
+    if w.empty:
         return 0
+    p1, p2, values = w.p1, w.p2, w.values
     lo1, hi1 = int(p1[0]), int(p1[-1])
     lo2, hi2 = int(p2[0]), int(p2[-1])
     span1, span2 = hi1 - lo1 + 1, hi2 - lo2 + 1
@@ -354,7 +347,7 @@ def exact_convolution_count(
             raise ConvolutionCheckFailed(
                 f"pair counts sum to {checksum!r}, not |P1|*|P2| = {pairs}"
             )
-    idx = inst.N - (lo1 + lo2) - values
+    idx = w.inst.N - (lo1 + lo2) - values
     idx = idx[(idx >= 0) & (idx < pair_counts.size)]
     return int(pair_counts[idx].astype(np.int64).sum())
 
@@ -475,10 +468,12 @@ def integrate_arcs(
     so achieved_error and n_evals count the major arc only.  achieved_error
     counts the bound on [0, 1/2] twice, once for its mirror image; n_evals
     counts the quadrature's integrand evaluations, one 64-point rule per
-    24-period panel, which are made once each.  Exact mode also computes the
-    convolution count, whose agreement with Re(sum of the three integrals)
-    is the additivity cross-check, and the one check that covers the
-    integrand's rounding.  dp, when given, must be derive_params(inst).
+    24-period panel, which are made once each.  Exact mode builds the
+    windows once (counting.build_windows) and hands the same value to the
+    integrand and to the convolution count, whose agreement with Re(sum of
+    the three integrals) is the additivity cross-check, and the one check
+    that covers the integrand's rounding.  Model mode takes exact_total from
+    fast_count.  dp, when given, must be derive_params(inst).
     Raises ValueError unless mu_k N > 1 for k = 1, 2.
     """
     if tol <= 0:
@@ -489,9 +484,10 @@ def integrate_arcs(
     kappa = dp.kappa
 
     if mode == "exact":
-        integrand = ExactIntegrand(inst)
+        windows = build_windows(inst)
+        integrand = ExactIntegrand(windows)
         fmax = integrand.max_frequency()
-        exact_total = exact_convolution_count(inst, mem_entries=mem_entries)
+        exact_total = exact_convolution_count(windows, mem_entries=mem_entries)
     elif mode == "model":
         integrand = ModelIntegrand(inst, dp)
         fmax = 3.0 * max(inst.H, 1)

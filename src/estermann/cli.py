@@ -325,6 +325,12 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         status = 1
+    except OSError as exc:
+        # the only file a command opens is --out (a missing directory, say)
+        if not cfg.out:
+            raise
+        print(f"error: cannot write --out {cfg.out}: {exc.strerror}", file=sys.stderr)
+        return 2
     except (EstermannError, ValueError) as exc:
         # covers non-rational flag syntax ("--c 1.41") and bad instances
         hint = "; raise --mem-mb" if isinstance(exc, MemoryBudgetExceeded) else ""

@@ -5,6 +5,11 @@ independent paths compute the same CountBreakdown: a brute-force pair
 enumeration (the oracle) and a fast path that, for each floor value v, takes
 the slice of sorted window-1 primes whose partner N - v - p1 can lie in
 window 2 and counts the partners that are prime with one gather.
+
+An instance's three windows (the primes P1, P2 and the floor values V) are
+built once, by build_windows, into one Windows value that the fast path,
+the exact integrand and the convolution count all read.  The oracle builds
+its own.
 """
 
 from __future__ import annotations
@@ -70,6 +75,35 @@ def admissible_floor_values(inst: ProblemInstance):
     return rng, floor_pow_values(*rng, inst.c)
 
 
+@dataclass(frozen=True, eq=False)  # eq=False: arrays have no one truth value
+class Windows:
+    """The three windows of one instance: P1, P2 and V = {floor(n^c)}.
+
+    p1 and p2 are the ascending primes within H of mu1*N and mu2*N; values
+    are floor(n^c) for n in n_range, the n with floor(n^c) within H of
+    mu3*N (n_range is None when there is no such n).
+    """
+
+    inst: ProblemInstance
+    p1: np.ndarray
+    p2: np.ndarray
+    n_range: Optional[tuple[int, int]]
+    values: np.ndarray
+
+    @property
+    def empty(self) -> bool:
+        """True when some window is empty, so no triple sums to N."""
+        return len(self.p1) == 0 or len(self.p2) == 0 or len(self.values) == 0
+
+
+def build_windows(inst: ProblemInstance) -> Windows:
+    """Sieve windows 1 and 2, then invert the floor range of window 3."""
+    p1 = window_primes(inst, 1)
+    p2 = window_primes(inst, 2)
+    n_range, values = admissible_floor_values(inst)
+    return Windows(inst, p1, p2, n_range, values)
+
+
 def _breakdown(n_range, values, r_values) -> CountBreakdown:
     """Rows (n, v, r) from the floor values and their counts, in order."""
     n_lo = n_range[0] if n_range else 0
@@ -126,12 +160,12 @@ def fast_count(
     span = max(hi2 - lo2 + 1, 0)
     if span > mem_entries:
         raise MemoryBudgetExceeded(f"window span {span} exceeds budget {mem_entries}")
-    p1 = window_primes(inst, 1)
-    n_range, values = admissible_floor_values(inst)
-    if span == 0 or len(p1) == 0 or len(values) == 0:
+    w = build_windows(inst)
+    p1, n_range, values = w.p1, w.n_range, w.values
+    if w.empty:
         return _breakdown(n_range, values, [0] * len(values))
     rev = np.zeros(span, dtype=bool)
-    rev[hi2 - window_primes(inst, 2)] = True
+    rev[hi2 - w.p2] = True
     t = inst.N - values
     starts = np.searchsorted(p1, t - hi2, side="left").tolist()
     stops = np.searchsorted(p1, t - lo2, side="right").tolist()

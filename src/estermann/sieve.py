@@ -98,9 +98,12 @@ def prime_power_triples(a: int, b: int) -> list[tuple[int, int, int]]:
 
     Primes come from the segmented sieve; higher powers are enumerated per
     exponent k from exact integer k-th roots, so detection never rounds.
+    An empty range (a > b) has no triples.
     """
-    if not (1 <= a <= b):
-        raise ValueError("prime_power_triples requires 1 <= a <= b")
+    if a > b:
+        return []
+    if a < 1:
+        raise ValueError("prime_power_triples requires 1 <= a")
     triples = [(int(p), 1, int(p)) for p in primes_in(max(a, 2), b)]
     k = 2
     while (1 << k) <= b:

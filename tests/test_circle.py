@@ -28,7 +28,7 @@ from estermann.circle import (
     singular_integral_J,
 )
 from estermann.arith import floor_pow
-from estermann.counting import brute_force_count, fast_count, window_primes
+from estermann.counting import brute_force_count, build_windows, fast_count, window_primes
 from estermann.errors import MemoryBudgetExceeded
 from estermann.expsums import PhaseReducer, approx_prime_sum, approx_S_c, char_sum, cis
 from estermann.instance import build_instance, derive_params
@@ -237,7 +237,7 @@ def test_integrand_F_alpha0():
     c1 = len(window_primes(inst, 1))
     c2 = len(window_primes(inst, 2))
     _, values = admissible_floor_values(inst)
-    z = ExactIntegrand(inst)(np.array([0.0]))[0]
+    z = ExactIntegrand(build_windows(inst))(np.array([0.0]))[0]
     assert z == pytest.approx(complex(c1 * c2 * len(values)), rel=1e-12)
 
     dp = derive_params(inst)
@@ -254,7 +254,7 @@ def test_integrand_F_alpha0():
 def test_integrand_F_conjugate_symmetry():
     # the property integrate_arcs relies on to integrate [0, 1/2] only
     inst = build_instance(2000, "3/2", THIRD, 300)
-    for f in (ExactIntegrand(inst), ModelIntegrand(inst, derive_params(inst))):
+    for f in (ExactIntegrand(build_windows(inst)), ModelIntegrand(inst, derive_params(inst))):
         for alpha in (0.0123, 0.2, 0.45):
             plus = f(np.array([alpha]))[0]
             minus = f(np.array([-alpha]))[0]
@@ -310,7 +310,7 @@ def test_arcs_mirror_vs_negative_half_quadrature(N, c, mu, h_frac, mode):
     tol = 1e-6
     rep = integrate_arcs(inst, mode=mode, tol=tol)
     if mode == "exact":
-        f = ExactIntegrand(inst)
+        f = ExactIntegrand(build_windows(inst))
         fmax = f.max_frequency()
     else:
         f = ModelIntegrand(inst, dp)
@@ -527,9 +527,9 @@ def test_arcs_band_rule_bound_and_evaluations(N, c, mu, H, mode):
     tol = 1e-6
     rep = integrate_arcs(inst, mode=mode, tol=tol)
     if mode == "exact":
-        f = ExactIntegrand(inst)
-        fmax = f.max_frequency()
-        sup = len(f.p1) * len(f.p2) * len(f.values)
+        w = build_windows(inst)
+        fmax = ExactIntegrand(w).max_frequency()
+        sup = len(w.p1) * len(w.p2) * len(w.values)
         arcs = [(0.0, min(rep.kappa, 0.5)), (min(rep.kappa, 0.5), 0.5)]
     else:
         fmax = 3.0 * H
@@ -548,8 +548,13 @@ def test_arcs_reach_the_benchmark_layers(monkeypatch):
     # so this checks the same reach: integrate_arcs in exact mode (arcs-exact)
     # and in model mode (crosscheck) calls quadrature.adaptive_complex and the
     # integrand's __call__.  A change that retires these layers needs a
-    # benchmark change that edits those tuples.
-    calls = {"adaptive_complex": 0, "ExactIntegrand": 0, "ModelIntegrand": 0}
+    # benchmark change that edits those tuples.  Exact mode builds the
+    # windows once, through the sieve and the floor inversion that perfbench
+    # wraps ("sieve", "arith"), and hands them to the convolution count;
+    # model mode counts with fast_count.
+    calls = {"adaptive_complex": 0, "ExactIntegrand": 0, "ModelIntegrand": 0,
+             "primes_in": 0, "admissible_floor_values": 0,
+             "exact_convolution_count": 0, "fast_count": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -561,11 +566,18 @@ def test_arcs_reach_the_benchmark_layers(monkeypatch):
                         counting("adaptive_complex", circle.adaptive_complex))
     for cls in (ExactIntegrand, ModelIntegrand):
         monkeypatch.setattr(cls, "__call__", counting(cls.__name__, cls.__call__))
+    for module, name in ((estermann.counting, "primes_in"),
+                         (estermann.counting, "admissible_floor_values"),
+                         (circle, "exact_convolution_count"), (circle, "fast_count")):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     inst = build_instance(3000, "3/2", THIRD, 300)
     integrate_arcs(inst, mode="exact", tol=1e-6)
     assert calls["adaptive_complex"] == 2 and calls["ExactIntegrand"] >= 2
+    assert calls["primes_in"] == 2 and calls["admissible_floor_values"] == 1
+    assert calls["exact_convolution_count"] == 1 and calls["fast_count"] == 0
     integrate_arcs(inst, mode="model", tol=1e-6)
     assert calls["adaptive_complex"] == 3 and calls["ModelIntegrand"] >= 2
+    assert calls["fast_count"] == 1 and calls["exact_convolution_count"] == 1
 
 
 # ---------------------------------------------------------------- J(H)

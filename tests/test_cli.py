@@ -69,14 +69,15 @@ def test_expsum_grid_csv(capsys, tmp_path):
 
 
 def test_expsum_all_kinds_run(capsys):
-    for kind in ("S1", "prime", "Sc_sinc", "Sc_integral", "S1_approx", "prime_approx"):
-        status, out = run_cli(
-            ["expsum", "--kind", kind, "--N", "20000", "--c", "3/2",
-             "--mu", "1/3,1/3,1/3", "--H", "500", "--alpha-grid", "0:0.01:3"],
-            capsys,
-        )
-        assert status == 0
-        assert len(out.strip().splitlines()) == 4
+    for H in ("500", "0"):  # at H = 0 every window is empty: a zero grid
+        for kind in cli.EXPSUM_KINDS:
+            status, out = run_cli(
+                ["expsum", "--kind", kind, "--N", "20000", "--c", "3/2",
+                 "--mu", "1/3,1/3,1/3", "--H", H, "--alpha-grid", "0:0.01:3"],
+                capsys,
+            )
+            assert status == 0, (kind, H)
+            assert len(out.strip().splitlines()) == 4
 
 
 def test_expsum_sc_excludes_exact_power_lower_edge(capsys):
@@ -308,10 +309,22 @@ def test_non_positive_budget_flags_exit_2(command, flag, value, capsys):
 
 
 def test_non_rational_exponent_rejected(capsys):
-    status, _ = run_cli(
-        ["count", "--N", "100", "--c", "1.414", "--mu", "1/3,1/3,1/3", "--H", "5"], capsys
-    )
+    for c, mu in (("1.414", "1/3,1/3,1/3"), ("3/0", "1/3,1/3,1/3"), ("3/2", "1/3,1/0,1/3")):
+        status = main(["count", "--N", "100", "--c", c, "--mu", mu, "--H", "5"])
+        assert status == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("where", ["missing/x.json", "."])
+def test_unwritable_out_exits_2(where, tmp_path, capsys):
+    out = tmp_path / where
+    status = main(["count", "--N", "100", "--c", "3/2", "--mu", "1/3,1/3,1/3", "--H", "5",
+                   "--out", str(out)])
     assert status == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and "Traceback" not in err
+    assert err.startswith(f"error: cannot write --out {out}")
 
 
 def test_determinism_byte_identical(tmp_path, capsys):

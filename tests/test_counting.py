@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from estermann import counting
 from estermann.arith import floor_pow
 from estermann.circle import exact_convolution_count
 from estermann.counting import (
@@ -100,6 +101,27 @@ def test_brute_force_rows_match_counter_reference():
     ]
     for inst in instances:
         assert brute_force_count(inst) == _counter_brute_force(inst)
+
+
+def test_oracles_build_their_own_windows(monkeypatch):
+    # fast_count reads the windows from counting.build_windows; the oracle
+    # and the Counter reference must not, or they would share what they check
+    instances = [
+        build_instance(10 ** 4, "3/2", ("1/3", "1/3", "1/3"), 500),
+        build_instance(3000, "5/3", ("1/4", "1/4", "1/2"), 200),
+        build_instance(12, "3/2", ("1/4", "1/4", "1/2"), 3),
+    ]
+    want = [fast_count(inst).total for inst in instances]
+
+    def refuse(inst):
+        raise AssertionError("build_windows called")
+
+    monkeypatch.setattr(counting, "build_windows", refuse)
+    with pytest.raises(AssertionError, match="build_windows"):
+        fast_count(instances[0])
+    for inst, total in zip(instances, want):
+        assert brute_force_count(inst).total == total
+        assert _counter_brute_force(inst).total == total
 
 
 def test_total_monotone_in_H():

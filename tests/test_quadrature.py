@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from estermann.circle import ExactIntegrand
+from estermann.counting import build_windows
 from estermann.errors import ToleranceNotMet
 from estermann.expsums import PhaseReducer, char_sum, cis
 from estermann import quadrature
@@ -417,22 +418,24 @@ def centred_bound(H: int, sizes) -> float:
 def exact_phase_oracle(f: ExactIntegrand, alpha: float) -> complex:
     """F(alpha)e(-alpha N) with every phase reduced mod 1 in exact rationals."""
     a = Fraction(alpha)
-    value = e(float(-a * f.inst.N % 1))
-    for arr in (f.p1, f.p2, f.values):
+    w = f.windows
+    value = e(float(-a * w.inst.N % 1))
+    for arr in (w.p1, w.p2, w.values):
         value *= sum(e(float(a * int(v) % 1)) for v in arr)
     return value
 
 
 @pytest.mark.parametrize("N, H", INTEGRAND_CASES)
 def test_batched_integrand_matches_per_node_sums(N, H):
-    f = ExactIntegrand(build_instance(N, "3/2", THIRD, H))
+    w = build_windows(build_instance(N, "3/2", THIRD, H))
+    f = ExactIntegrand(w)
     alphas = _alphas(700, N)  # several row chunks
     batched = f(alphas)
     ref = np.array(
         [
-            char_sum(a, f.p1)
-            * char_sum(a, f.p2)
-            * char_sum(a, f.values)
+            char_sum(a, w.p1)
+            * char_sum(a, w.p2)
+            * char_sum(a, w.values)
             * cis(PhaseReducer(a).frac_fraction(Fraction(N))).conjugate()
             for a in alphas.tolist()
         ]
@@ -440,7 +443,7 @@ def test_batched_integrand_matches_per_node_sums(N, H):
     # the referee's phases are within 1.5 * 2^-52 turn of exact, which adds
     # 2*pi times that per unit term of each of the three sums to the a-priori
     # bound of the centred integrand
-    sizes = (len(f.p1), len(f.p2), len(f.values))
+    sizes = (len(w.p1), len(w.p2), len(w.values))
     bound = centred_bound(H, sizes) + 3 * 2 * math.pi * 1.5 * 2.0 ** -52 * math.prod(sizes)
     assert np.all(np.abs(batched - ref) <= bound)
     # a node's value does not depend on the batch it arrives in
@@ -450,9 +453,10 @@ def test_batched_integrand_matches_per_node_sums(N, H):
 
 @pytest.mark.parametrize("N, H", INTEGRAND_CASES)
 def test_batched_integrand_matches_exact_phases(N, H):
-    f = ExactIntegrand(build_instance(N, "3/2", THIRD, H))
+    w = build_windows(build_instance(N, "3/2", THIRD, H))
+    f = ExactIntegrand(w)
     alphas = _alphas(16, N + 1)
-    bound = centred_bound(H, (len(f.p1), len(f.p2), len(f.values)))
+    bound = centred_bound(H, (len(w.p1), len(w.p2), len(w.values)))
     for alpha, value in zip(alphas.tolist(), f(alphas)):
         assert abs(value - exact_phase_oracle(f, alpha)) <= bound, alpha
 
@@ -467,7 +471,8 @@ def test_batched_integrand_matches_exact_phases(N, H):
 )
 def test_integrand_within_centred_bound(log_N, c, mu, H, alpha):
     N = round(math.exp(log_N))
-    f = ExactIntegrand(build_instance(N, c, mu, H))
+    w = build_windows(build_instance(N, c, mu, H))
+    f = ExactIntegrand(w)
     value = f(np.array([alpha]))[0]
-    bound = centred_bound(H, (len(f.p1), len(f.p2), len(f.values)))
+    bound = centred_bound(H, (len(w.p1), len(w.p2), len(w.values)))
     assert abs(value - exact_phase_oracle(f, alpha)) <= bound

@@ -77,6 +77,9 @@ def test_lambda_segment_examples():
 
 
 def test_prime_power_triples_structure():
+    assert prime_power_triples(10, 9) == []  # like primes_in, a > b is empty
+    with pytest.raises(ValueError):
+        prime_power_triples(0, 5)
     triples = prime_power_triples(2, 100)
     for n, k, p in triples:
         assert n == p ** k
