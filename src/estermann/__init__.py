@@ -25,7 +25,6 @@ from .circle import (
 )
 from .counting import CountBreakdown, brute_force_count, fast_count
 from .errors import (
-    ConvolutionCheckFailed,
     EstermannError,
     ExponentTooSmall,
     FloorInversionFailed,
@@ -58,7 +57,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArcReport",
-    "ConvolutionCheckFailed",
     "CountBreakdown",
     "DerivedParams",
     "EstermannError",

@@ -15,14 +15,13 @@ that integer without any quadrature as the cross-check.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .counting import DEFAULT_MEM_ENTRIES, Windows, build_windows, fast_count
-from .errors import ConvolutionCheckFailed, MemoryBudgetExceeded
+from .errors import MemoryBudgetExceeded
 from .instance import DerivedParams, ProblemInstance, derive_params, log_centres
 from .quadrature import _BAND_ORDER, _BAND_PERIODS, adaptive_complex, panel_edges
 
@@ -148,208 +147,61 @@ class ModelIntegrand:
         return self.amp * s ** 3
 
 
-# Smaller spans go straight to np.convolve.  On a 2-core Intel Xeon host
-# with numpy 2.4, best of repeated runs on two spans s: direct 0.12 ms and
-# FFT with its checks 0.20 ms at s = 1000; 0.27 and 0.26 ms at 1500; 0.41
-# and 0.31 ms at 2000; 16 and 1.4 ms at 10000.
-_FFT_MIN_SPAN = 1500
-# The largest distance from an integer any FFT pair count may show.
-_ROUNDING_MARGIN = 0.25
-# Primes below 2^31 for the modular check: a product of two residues fits an
-# int64.  The check cycles through them, one random point per round.
-_CHECK_PRIMES = (2147483647, 2147483629, 2147483587)
-# The modular check uses enough rounds that a wrong pair-count vector passes
-# all of them with at most this probability.
-_FALSE_ACCEPT = 1e-12
-# Rows of the modular check's power table, at most; see _modular_identity_holds.
-_CHECK_BLOCK = 1 << 12
-_RNG = random.SystemRandom()
-
-
-def _fast_len(m: int) -> int:
-    """The smallest 5-smooth integer (2^a 3^b 5^c) that is at least m >= 1."""
-    best = 1 << (m - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            # the least power of two times p35 that reaches m
-            best = min(best, p35 << (-(-m // p35) - 1).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
-def _power_table(bases: np.ndarray, count: int, primes: np.ndarray) -> np.ndarray:
-    """Row j holds bases^j mod primes (one column per base), for j < count."""
-    out = np.empty((count, bases.size), dtype=np.int64)
-    out[0] = 1
-    step, done = bases.copy(), 1
-    while done < count:
-        t = min(done, count - done)
-        rows = out[done : done + t]
-        np.multiply(out[:t], step, out=rows)
-        rows %= primes
-        step = step * step % primes
-        done += t
-    return out
-
-
-def _modular_identity_holds(
-    counts: np.ndarray, e1: np.ndarray, e2: np.ndarray, top: int
-) -> bool:
-    """sum_j counts_j r^j == A(r) B(r) (mod p) at random points r.
-
-    A(x) = sum x^e1 and B(x) = sum x^e2 are the two indicator polynomials,
-    every entry of counts lies in [0, top], and counts has L entries.  A
-    wrong vector differs from the true one by a nonzero polynomial of degree
-    below L whose coefficients are smaller than p in modulus, so it is
-    nonzero mod p and has fewer than L roots there: a uniform r in [1, p)
-    passes with probability below L/p (Schwartz 1980; Zippel 1979).  The
-    number of rounds k >= 3 makes (L/p)^k < _FALSE_ACCEPT.
-
-    All arithmetic is int64: the sums of counts_j * (r^j mod p) run over
-    blocks of K powers, with top * K <= 2^32, so they stay below 2^63.
-    """
-    size = counts.size
-    p_min = min(_CHECK_PRIMES)
-    if size >= p_min:
-        return False
-    rounds = max(3, math.ceil(math.log(_FALSE_ACCEPT) / math.log(size / p_min)))
-    primes = np.array([_CHECK_PRIMES[i % len(_CHECK_PRIMES)] for i in range(rounds)])
-    points = np.array([_RNG.randrange(1, int(p)) for p in primes])
-    shift = min(_CHECK_BLOCK.bit_length(), 33 - top.bit_length(), size.bit_length()) - 1
-    block = 1 << shift
-    blocks = -(-size // block)
-    powers = _power_table(points, block, primes)  # r^j, j < K
-    step = np.array([pow(int(r), block, int(p)) for r, p in zip(points, primes)])
-    block_powers = _power_table(step, blocks, primes)  # r^(bK)
-    full = size // block
-    sums = np.empty((blocks, rounds), dtype=np.int64)
-    sums[:full] = counts[: full * block].reshape(full, block) @ powers
-    if full < blocks:
-        sums[full] = counts[full * block :] @ powers[: size - full * block]
-    sums %= primes
-    sums *= block_powers
-    sums %= primes
-    lhs = sums.sum(axis=0) % primes
-
-    def indicator(e: np.ndarray) -> np.ndarray:
-        terms = powers[e & (block - 1)] * block_powers[e >> shift] % primes
-        return terms.sum(axis=0) % primes
-
-    return bool(np.array_equal(lhs, indicator(e1) * indicator(e2) % primes))
-
-
-def _fft_pair_counts(e1: np.ndarray, e2: np.ndarray, n: int) -> Optional[np.ndarray]:
-    """Pair counts by a zero-padded real FFT of length n, or None if unproven.
-
-    The result is an int64 view of length span1 + span2 - 1 into the
-    inverse transform; the spectrum's memory serves as scratch once the
-    inverse is taken.
-    """
-    size = int(e1[-1]) + int(e2[-1]) + 1
-    buf = np.zeros(n)
-    buf[e1] = 1.0
-    spectrum = np.fft.rfft(buf)
-    buf[e1] = 0.0
-    buf[e2] = 1.0
-    spectrum *= np.fft.rfft(buf)
-    del buf  # freed before the inverse allocates its output
-    out = np.fft.irfft(spectrum, n)
-    values, rounded = out[:size], spectrum.view(np.float64)[:size]
-    np.rint(values, out=rounded)
-    np.subtract(values, rounded, out=values)
-    top = min(e1.size, e2.size)
-    # written so that a NaN anywhere fails each test
-    if not np.abs(values, out=values).max() <= _ROUNDING_MARGIN:
-        return None
-    if not (rounded.min() >= 0.0 and rounded.max() <= top):
-        return None
-    counts = out.view(np.int64)[:size]
-    np.copyto(counts, rounded, casting="unsafe")
-    if int(counts.sum()) != e1.size * e2.size:
-        return None
-    if not _modular_identity_holds(counts, e1, e2, top):
-        return None
-    return counts
-
-
 def exact_convolution_count(
     inst: ProblemInstance | Windows, *, mem_entries: int = DEFAULT_MEM_ENTRIES
 ) -> int:
     """The count as the N-th coefficient of the indicator-product series.
 
-    The two prime indicators are convolved into pair counts, and the entries
-    at N - v are gathered for every floor-power value v.  No quadrature.
-    Takes an instance, whose windows it builds, or windows already built
-    by counting.build_windows.
+    For every floor-power value v, the pairs of window primes with
+    p1 + p2 = t = N - v are counted by AND and popcount of two bitsets: no
+    quadrature, and no floating point.  Takes an instance, whose windows it
+    builds, or windows already built by counting.build_windows.
 
-    Direct path: np.convolve on float64 indicators, where numpy computes
-    each output entry as a BLAS dot product.  It is exact by construction:
-    every product is 0 or 1, so every partial sum of an entry is an integer
-    no larger than min(|P1|, |P2|) < 2^53, and float64 adds such integers
-    exactly in any order, including BLAS's blocked and threaded order.  It
-    needs 2 (span1 + span2) - 1 entries.
+    Bit i of A flags the prime p1[0] + i (n1 = p1[-1] - p1[0] + 1 bits).  b
+    flags window 2 in reverse after 8 zero bits: bit 8 + p2[-1] - p flags the
+    prime p (8 + n2 bits, n2 = p2[-1] - p2[0] + 1).  The partner
+    t - p1[0] - i of bit i then sits at bit off + i of b, with
+    off = 8 + p2[-1] - t + p1[0], so the count for t is the popcount of A AND
+    (b shifted down by off).  b is packed once per shift s < 8, and the copy
+    for s = off mod 8 makes that shift a byte slice.  Only the bytes holding
+    the overlap, i in [max(0, 8 - off), min(n1, 8 + n2 - off)), are read.
+    off is negative for the largest t; off >> 3 floors, and with the
+    overlap's first byte added the index is still at least 0, which is what
+    b's 8 leading zero bits are for.
 
-    FFT path, taken when both spans reach _FFT_MIN_SPAN and the buffers fit
-    mem_entries: a zero-padded np.fft.rfft/irfft of a 5-smooth length
-    n >= span1 + span2 - 1, which holds one n-entry buffer, two spectra of
-    n/2 + 1 complex entries and pocketfft's own n-entry work array at once
-    (4n + 4 entries).  Its rounded result is accepted only if
-    - every entry lies within 1/4 of an integer in [0, min(|P1|, |P2|)];
-    - the rounded entries sum to |P1| |P2| (exactly, in int64);
-    - sum_j c_j r^j == A(r) B(r) (mod p) holds at k >= 3 random points,
-      31-bit primes p, in int64 (_modular_identity_holds): a wrong vector
-      passes with probability below (L/p)^k < 1e-12, L = span1 + span2 - 1.
-    The modular check is the proof: it shares no code or arithmetic with the
-    FFT, so it holds whatever the FFT's rounding did, and the first test
-    gives it the coefficient range it needs.  No a priori rounding bound is
-    checked: Percival's (Math. Comp. 72, 2003) reaches 1/4 only when
-    sqrt(|P1| |P2|) nears 1e12, far past any length whose buffers fit in
-    memory, so it could never reject.  Any failed test sends the count to
-    the direct path.
-
-    Raises MemoryBudgetExceeded when the direct path's arrays exceed
-    mem_entries, and ConvolutionCheckFailed when the direct path's entries
-    do not sum to |P1|*|P2|.
+    Its arrays take n1 + 3 ceil(n1/8) + 2 (n2 + 8) bytes.  Raises
+    MemoryBudgetExceeded, before any of them is allocated, when that exceeds
+    mem_entries 8-byte entries.
     """
     w = inst if isinstance(inst, Windows) else build_windows(inst)
     if w.empty:
         return 0
-    p1, p2, values = w.p1, w.p2, w.values
+    p1, p2 = w.p1, w.p2
     lo1, hi1 = int(p1[0]), int(p1[-1])
     lo2, hi2 = int(p2[0]), int(p2[-1])
-    span1, span2 = hi1 - lo1 + 1, hi2 - lo2 + 1
-    # the two indicators and their convolution are all held at once
-    entries = 2 * (span1 + span2) - 1
-    if entries > mem_entries:
+    n1, n2 = hi1 - lo1 + 1, hi2 - lo2 + 1
+    # A's flags and bytes, two overlap-sized temporaries, b and its 8 packings
+    need = n1 + 3 * ((n1 + 7) // 8) + 2 * (n2 + 8)
+    if need > 8 * mem_entries:
         raise MemoryBudgetExceeded(
-            f"convolution of spans {span1} and {span2} needs {entries} entries, "
-            f"exceeds budget {mem_entries}"
+            f"convolution of spans {n1} and {n2} needs {need} bytes, "
+            f"exceeds budget {mem_entries} entries of 8 bytes"
         )
-    e1, e2 = p1 - lo1, p2 - lo2
-    n = _fast_len(span1 + span2 - 1)
-    pair_counts = None
-    if (
-        min(span1, span2) >= _FFT_MIN_SPAN
-        and 4 * n + 4 <= mem_entries
-    ):
-        pair_counts = _fft_pair_counts(e1, e2, n)
-    if pair_counts is None:
-        ind1 = np.zeros(span1)
-        ind1[e1] = 1.0
-        ind2 = np.zeros(span2)
-        ind2[e2] = 1.0
-        pair_counts = np.convolve(ind1, ind2)
-        checksum, pairs = pair_counts.sum(), len(p1) * len(p2)
-        if checksum != pairs:
-            raise ConvolutionCheckFailed(
-                f"pair counts sum to {checksum!r}, not |P1|*|P2| = {pairs}"
-            )
-    idx = w.inst.N - (lo1 + lo2) - values
-    idx = idx[(idx >= 0) & (idx < pair_counts.size)]
-    return int(pair_counts[idx].astype(np.int64).sum())
+    a = np.zeros(n1, dtype=bool)
+    a[p1 - lo1] = True
+    A = np.packbits(a, bitorder="little")
+    b = np.zeros(8 + n2, dtype=bool)
+    b[8 + hi2 - p2] = True
+    B = [np.packbits(b[s:], bitorder="little") for s in range(8)]
+    total = 0
+    for t in (w.inst.N - w.values).tolist():
+        off = 8 + hi2 - t + lo1
+        if not 8 - n1 < off < 8 + n2:
+            continue
+        i0, i1 = max(0, 8 - off) >> 3, (min(n1, 8 + n2 - off) + 7) >> 3
+        j = off >> 3
+        total += int(np.bitwise_count(A[i0:i1] & B[off & 7][j + i0 : j + i1]).sum())
+    return total
 
 
 @dataclass(frozen=True, slots=True)

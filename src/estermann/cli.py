@@ -316,6 +316,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     cfg = config_from_args(args)
     try:
+        if cfg.out:
+            # A path that cannot be written fails here, before the work.
+            # Appending leaves an existing file as it is, and a file that
+            # the check itself made is removed again.
+            existed = os.path.lexists(cfg.out)
+            open(cfg.out, "a").close()
+            if not existed:
+                os.remove(cfg.out)
         status = _COMMANDS[cfg.command](cfg)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
     except BrokenPipeError:

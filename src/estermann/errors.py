@@ -25,10 +25,6 @@ class FloorInversionFailed(EstermannError):
     """A floor-power range inversion failed its endpoint verification."""
 
 
-class ConvolutionCheckFailed(EstermannError):
-    """The exact convolution's pair counts do not sum to |P1| * |P2|."""
-
-
 class OracleLimitExceeded(EstermannError):
     """Brute-force oracle invoked above its configured size limit."""
 

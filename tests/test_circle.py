@@ -1,9 +1,5 @@
-import json
 import math
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -69,165 +65,94 @@ def test_convolution_budget():
     inst = build_instance(10 ** 4, "3/2", THIRD, 2000)
     with pytest.raises(MemoryBudgetExceeded):
         exact_convolution_count(inst, mem_entries=64)
-    # two indicators of span1 + span2 entries plus their convolution of
-    # span1 + span2 - 1: a budget that covers only the indicators must fail
-    spans = sum(int(p[-1] - p[0] + 1) for p in (window_primes(inst, 1), window_primes(inst, 2)))
-    for budget in (spans, 2 * spans - 2):
-        with pytest.raises(MemoryBudgetExceeded, match=str(2 * spans - 1)):
-            exact_convolution_count(inst, mem_entries=budget)
-    assert exact_convolution_count(inst, mem_entries=2 * spans - 1) == fast_count(inst).total
+    # the kernel holds n1 + 3 ceil(n1/8) + 2 (n2 + 8) bytes: one 8-byte
+    # entry below that must fail, and the rounded-up entry count must pass
+    n1, n2 = (int(p[-1] - p[0] + 1) for p in (window_primes(inst, 1), window_primes(inst, 2)))
+    need = n1 + 3 * ((n1 + 7) // 8) + 2 * (n2 + 8)
+    budget = -(-need // 8)
+    with pytest.raises(MemoryBudgetExceeded, match=f"needs {need} bytes"):
+        exact_convolution_count(inst, mem_entries=budget - 1)
+    assert exact_convolution_count(inst, mem_entries=budget) == fast_count(inst).total
 
 
-# np.convolve answering the true pair counts with one entry off by one: the
-# checksum must catch it.  Run as a script so it can also run under -O.  The
-# spans (about 1000) are below the FFT crossover, so np.convolve answers.
-_OFF_BY_ONE_CONVOLVE = """
-import numpy as np
-from estermann import ConvolutionCheckFailed, build_instance, exact_convolution_count
-
-honest = np.convolve
-def off_by_one(a, b):
-    out = honest(a, b)
-    out[out.size // 2] += 1
-    return out
-np.convolve = off_by_one
-try:
-    exact_convolution_count(build_instance(10 ** 4, "3/2", ("1/3", "1/3", "1/3"), 500))
-except ConvolutionCheckFailed:
-    print("raised")
-"""
-
-
-@pytest.mark.parametrize("flags", [(), ("-O",)])
-def test_convolution_checksum_rejects_bad_entry(flags):
-    src = os.path.dirname(os.path.dirname(estermann.__file__))
-    proc = subprocess.run(
-        [sys.executable, *flags, "-c", _OFF_BY_ONE_CONVOLVE],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=src),
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "raised"
-
-
-# Instances whose smaller span reaches _FFT_MIN_SPAN take the FFT path.
-FFT_INSTANCE = (10 ** 5, "3/2", THIRD, 4000)  # spans near 8000
-
-
-def _count_direct_calls(monkeypatch) -> list:
-    calls = []
-    honest = np.convolve
-
-    def counted(a, b):
-        calls.append(a.size)
-        return honest(a, b)
-
-    monkeypatch.setattr(np, "convolve", counted)
-    return calls
-
-
-def _spans(inst) -> tuple[int, int]:
-    return tuple(int(p[-1] - p[0] + 1) for p in (window_primes(inst, 1), window_primes(inst, 2)))
-
-
-def test_convolution_fft_path_oracle(monkeypatch):
-    # seeded instances up to N = 1e6 above the crossover: the FFT answers,
-    # with every check passing, and agrees with fast_count
-    calls = _count_direct_calls(monkeypatch)
-    rng = random.Random(1309)
-    mus = [THIRD, ("1/4", "1/4", "1/2"), ("2/5", "1/5", "2/5"), ("1/6", "1/3", "1/2")]
-    for _ in range(10):
-        N = round(10 ** rng.uniform(4, 6))
-        mu = rng.choice(mus)
-        h_hi = min(math.ceil(N ** 0.8), math.floor(min(map(Fraction, mu)) * N))
-        inst = build_instance(N, rng.choice(["3/2", "5/3", "7/4", "5/2"]), mu,
-                              rng.randint(1000, h_hi))
-        assert min(_spans(inst)) >= circle._FFT_MIN_SPAN
-        assert exact_convolution_count(inst) == fast_count(inst).total
-    assert calls == []
-
-
-def test_convolution_fft_path_vs_brute_force(monkeypatch):
-    calls = _count_direct_calls(monkeypatch)
-    for N, c, mu, H in [(20011, "3/2", THIRD, 1900), (54321, "5/3", ("1/4", "1/4", "1/2"), 3000),
-                        FFT_INSTANCE]:
-        inst = build_instance(N, c, mu, H)
-        assert exact_convolution_count(inst) == brute_force_count(inst).total
-    assert calls == []
-
-
-def test_convolution_fft_path_large():
-    # spans of 2e5: the direct product took about 7 s here, the FFT ~0.05 s
+def test_convolution_large():
+    # spans of 2e5
     inst = build_instance(10 ** 7, "3/2", THIRD, 10 ** 5)
     assert exact_convolution_count(inst) == fast_count(inst).total
 
 
-def test_convolution_budget_admits_direct_not_fft(monkeypatch):
-    # the FFT holds about four arrays of the padded length, more than the
-    # direct path's two indicators and their convolution
-    inst = build_instance(*FFT_INSTANCE)
-    want = fast_count(inst).total
-    calls = _count_direct_calls(monkeypatch)
-    direct = 2 * sum(_spans(inst)) - 1
-    assert exact_convolution_count(inst, mem_entries=direct) == want
-    assert len(calls) == 1
+def _wide_instances() -> list:
+    """Seeded instances up to N = 1e6 with spans of 2000 and more."""
+    rng = random.Random(1309)
+    mus = [THIRD, ("1/4", "1/4", "1/2"), ("2/5", "1/5", "2/5"), ("1/6", "1/3", "1/2")]
+    out = [build_instance(20011, "3/2", THIRD, 1900),
+           build_instance(54321, "5/3", ("1/4", "1/4", "1/2"), 3000),
+           build_instance(10 ** 5, "3/2", THIRD, 4000)]
+    for _ in range(10):
+        N = round(10 ** rng.uniform(4, 6))
+        mu = rng.choice(mus)
+        h_hi = min(math.ceil(N ** 0.8), math.floor(min(map(Fraction, mu)) * N))
+        out.append(build_instance(N, rng.choice(["3/2", "5/3", "7/4", "5/2"]), mu,
+                                  rng.randint(1000, h_hi)))
+    return out
+
+
+# Edge instances for the bitset kernel.  Window 1 reaches the prime 2 when
+# H = floor(min_k mu_k N) at small N; H = 0 leaves a window empty or of one
+# integer; and a window of one or two primes puts a target N - v outside
+# [p1[0] + p2[0], p1[-1] + p2[-1]], where its offset misses the overlap.
+EDGE_INSTANCES = [
+    build_instance(12, "3/2", ("1/4", "1/4", "1/2"), 3),  # window 1 = [0, 6]
+    build_instance(20, "3/2", ("1/4", "1/4", "1/2"), 5),  # [0, 10]; t = 15 > 7 + 7
+    build_instance(40, "5/3", ("1/5", "3/10", "1/2"), 8),  # window 1 = [0, 16]
+    build_instance(10 ** 4, "3/2", THIRD, 0),  # window 1 = [3334, 3333]: empty
+    build_instance(3 * 101, "3/2", THIRD, 0),  # P1 = P2 = {101}, no floor value
+    build_instance(48, "3/2", THIRD, 2),  # P1 = P2 = {17}; t = 30 < 34
+    build_instance(76, "3/2", ("1/5", "3/10", "1/2"), 3),  # P1 = {13, 17}, P2 = {23}; t = 35 < 36
+]
+
+
+@st.composite
+def _kernel_instances(draw):
+    """N <= 3000, mu1 and mu2 drawn apart, and H at 0, at its top or anywhere."""
+    N = draw(st.integers(1, 3000))
+    c = draw(st.sampled_from(("3/2", "5/3", "7/4", "5/2", "17/12")))
+    d1, d2 = draw(st.integers(2, 9)), draw(st.integers(2, 9))
+    mu1 = Fraction(draw(st.integers(1, d1 - 1)), 2 * d1)
+    mu2 = Fraction(draw(st.integers(1, d2 - 1)), 2 * d2)
+    mu = (mu1, mu2, 1 - mu1 - mu2)
+    top = math.floor(min(mu) * N)
+    H = draw(st.sampled_from((0, top, min(top, 3))) | st.integers(0, top))
+    return build_instance(N, c, mu, H)
+
+
+def _examples(instances):
+    def decorate(test):
+        for inst in instances:
+            test = example(inst)(test)
+        return test
+    return decorate
+
+
+@settings(max_examples=200, deadline=None)
+@given(_kernel_instances())
+@_examples(EDGE_INSTANCES + _wide_instances())
+def test_convolution_matches_brute_force(inst):
+    want = brute_force_count(inst, oracle_limit=10 ** 6).total
     assert exact_convolution_count(inst) == want
-    assert len(calls) == 1
 
 
-# Faults injected into the FFT path, run as scripts so they also run under -O.
-# "one": one irfft entry off by +1.  "pair": +1 on one entry and -1 on a
-# later nonzero one, so the range and the checksum still hold and only the
-# modular identity can reject it.  Either way the direct path must answer.
-# "both": np.convolve is wrong too, so ConvolutionCheckFailed must be raised.
-_FFT_FAULT = """
-import json, sys
-import numpy as np
-from estermann import ConvolutionCheckFailed, build_instance, exact_convolution_count, fast_count
-
-fault = sys.argv[1]
-inst = build_instance(10 ** 5, "3/2", ("1/3", "1/3", "1/3"), 4000)
-calls = {"irfft": 0, "convolve": 0}
-honest_irfft, honest_convolve = np.fft.irfft, np.convolve
-
-def bad_irfft(*args, **kwargs):
-    calls["irfft"] += 1
-    out = honest_irfft(*args, **kwargs)
-    j = out.size // 3
-    out[j] += 1.0
-    if fault == "pair":
-        out[j + 1 + int(np.argmax(out[j + 1 :] > 0.5))] -= 1.0
-    return out
-
-def convolve(a, b):
-    calls["convolve"] += 1
-    out = honest_convolve(a, b)
-    if fault == "both":
-        out[out.size // 2] += 1.0
-    return out
-
-np.fft.irfft, np.convolve = bad_irfft, convolve
-try:
-    result = exact_convolution_count(inst) == fast_count(inst).total
-except ConvolutionCheckFailed:
-    result = "raised"
-print(json.dumps({"result": result, **calls}))
-"""
-
-
-@pytest.mark.parametrize("flags", [(), ("-O",)])
-@pytest.mark.parametrize("fault, result", [("one", True), ("pair", True), ("both", "raised")])
-def test_convolution_fft_fault_falls_back(fault, result, flags):
-    src = os.path.dirname(os.path.dirname(estermann.__file__))
-    proc = subprocess.run(
-        [sys.executable, *flags, "-c", _FFT_FAULT, fault],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=src),
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"result": result, "irfft": 1, "convolve": 1}
+def test_convolution_edge_instances_reach_their_edges():
+    windows = [build_windows(inst) for inst in EDGE_INSTANCES]
+    assert sum(w.p1.size > 0 and w.p1[0] == 2 for w in windows) == 3
+    assert sum(w.inst.H == 0 for w in windows) == 2
+    assert sum(w.empty for w in windows) == 2
+    outside = [
+        w for w in windows if not w.empty
+        and np.any(w.inst.N - w.values < w.p1[0] + w.p2[0])
+        | np.any(w.inst.N - w.values > w.p1[-1] + w.p2[-1])
+    ]
+    assert len(outside) == 3
 
 
 def test_integrand_F_alpha0():

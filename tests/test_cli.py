@@ -327,6 +327,26 @@ def test_unwritable_out_exits_2(where, tmp_path, capsys):
     assert err.startswith(f"error: cannot write --out {out}")
 
 
+def test_unwritable_out_exits_before_the_work(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the count ran although --out cannot be written")
+
+    monkeypatch.setattr(cli, "fast_count", never)
+    out = tmp_path / "missing" / "x.json"
+    status = main(["count", "--N", "10000000", "--c", "3/2", "--mu", "1/3,1/3,1/3",
+                   "--H", "398108", "--out", str(out)])
+    assert status == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write --out {out}")
+
+
+def test_failed_command_leaves_out_as_it_was(tmp_path, capsys):
+    args = ["count", "--N", "100", "--c", "1.41", "--mu", "1/3,1/3,1/3", "--H", "5", "--out"]
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    old.write_text("kept\n")
+    assert main([*args, str(new)]) == 2 and not new.exists()
+    assert main([*args, str(old)]) == 2 and old.read_text() == "kept\n"
+
+
 def test_determinism_byte_identical(tmp_path, capsys):
     args = ["expsum", "--kind", "Sc", "--N", "50000", "--c", "5/2",
             "--mu", "1/4,1/4,1/2", "--H", "800", "--alpha-grid", "0:0.4:101"]

@@ -242,6 +242,6 @@ def test_fast_count_slice_ends(inst, edges, empty_next_to_full):
 
 
 def test_convolution_matches_fast_count_on_threaded_dots():
-    # prime spans of ~6e4: long enough that OpenBLAS splits each dot product
+    # prime spans of ~6e4, so each AND and popcount runs over ~7500 bytes
     inst = build_instance(2 * 10 ** 6, "3/2", ("1/3", "1/3", "1/3"), 3 * 10 ** 4)
     assert exact_convolution_count(inst) == fast_count(inst).total
