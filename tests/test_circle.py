@@ -81,20 +81,33 @@ def test_convolution_large():
     assert exact_convolution_count(inst) == fast_count(inst).total
 
 
-def _wide_instances() -> list:
-    """Seeded instances up to N = 1e6 with spans of 2000 and more."""
+def _spans(inst) -> tuple[int, int]:
+    return tuple(int(p[-1] - p[0] + 1) for p in (window_primes(inst, 1), window_primes(inst, 2)))
+
+
+# The two tests below keep their names from the FFT-based count, which answered
+# these wide instances (spans of 1500 and more); they now check the bitset
+# kernel on the same instances.
+def test_convolution_fft_path_oracle():
+    # seeded instances up to N = 1e6, against fast_count
     rng = random.Random(1309)
     mus = [THIRD, ("1/4", "1/4", "1/2"), ("2/5", "1/5", "2/5"), ("1/6", "1/3", "1/2")]
-    out = [build_instance(20011, "3/2", THIRD, 1900),
-           build_instance(54321, "5/3", ("1/4", "1/4", "1/2"), 3000),
-           build_instance(10 ** 5, "3/2", THIRD, 4000)]
     for _ in range(10):
         N = round(10 ** rng.uniform(4, 6))
         mu = rng.choice(mus)
         h_hi = min(math.ceil(N ** 0.8), math.floor(min(map(Fraction, mu)) * N))
-        out.append(build_instance(N, rng.choice(["3/2", "5/3", "7/4", "5/2"]), mu,
-                                  rng.randint(1000, h_hi)))
-    return out
+        inst = build_instance(N, rng.choice(["3/2", "5/3", "7/4", "5/2"]), mu,
+                              rng.randint(1000, h_hi))
+        assert min(_spans(inst)) >= 1500
+        assert exact_convolution_count(inst) == fast_count(inst).total
+
+
+def test_convolution_fft_path_vs_brute_force():
+    for N, c, mu, H in [(20011, "3/2", THIRD, 1900), (54321, "5/3", ("1/4", "1/4", "1/2"), 3000),
+                        (10 ** 5, "3/2", THIRD, 4000)]:
+        inst = build_instance(N, c, mu, H)
+        assert min(_spans(inst)) >= 1500
+        assert exact_convolution_count(inst) == brute_force_count(inst).total
 
 
 # Edge instances for the bitset kernel.  Window 1 reaches the prime 2 when
@@ -136,7 +149,7 @@ def _examples(instances):
 
 @settings(max_examples=200, deadline=None)
 @given(_kernel_instances())
-@_examples(EDGE_INSTANCES + _wide_instances())
+@_examples(EDGE_INSTANCES)
 def test_convolution_matches_brute_force(inst):
     want = brute_force_count(inst, oracle_limit=10 ** 6).total
     assert exact_convolution_count(inst) == want
