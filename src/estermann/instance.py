@@ -54,9 +54,14 @@ class ProblemInstance:
         return self.mu[k - 1] * self.N
 
     def window(self, k: int) -> tuple[int, int]:
-        """Inclusive integer interval [mu_k*N - H, mu_k*N + H], k in {1,2,3}."""
-        center = self.mu_N(k)
-        return (math.ceil(center - self.H), math.floor(center + self.H))
+        """Inclusive integer interval [mu_k*N - H, mu_k*N + H], k in {1,2,3}.
+
+        With mu_k = p/q the edges ceil(mu_k*N - H) and floor(mu_k*N + H) are
+        -((q*H - p*N) // q) and (p*N + q*H) // q, in integers.
+        """
+        mu = self.mu[k - 1]
+        p, q = mu.numerator, mu.denominator
+        return -((q * self.H - p * self.N) // q), (p * self.N + q * self.H) // q
 
     def in_window(self, k: int, m: int) -> bool:
         """Exact membership test |m - mu_k*N| <= H."""

@@ -11,19 +11,20 @@ error come from one of two paths:
 - the band rule, for an integrand the caller declares band-limited
   (|f(z)| <= sup * e^(2 pi F |Im z|) on the complex plane): a panel's value
   is its one rule, and its error gauss_error_bound, a proven bound that
-  depends only on the panel width, so a panel is bisected before it is
-  evaluated and only the rule of an accepted panel is computed.  Its panels
-  span _BAND_PERIODS periods under a rule of order _BAND_ORDER;
+  depends only on the panel width, so every split is decided before
+  anything is evaluated and only the rules of accepted panels are computed.
+  Its panels span _BAND_PERIODS periods under a rule of order _BAND_ORDER;
 - the whole-vs-halves estimate otherwise: a panel's value is the sum of the
   rules on its two halves, the rule on the whole panel is computed as well,
   and the discrepancy stands for the error.  Its panels span
   _PERIODS_PER_PANEL periods.
 
-The rules of one refinement level are evaluated together: their Gauss nodes
-form one flat 1-D array, the integrand is called once on it (on consecutive
-slices of it past _LEVEL_NODES nodes), and the rule sums and accept/split
-decisions are array operations.  The accepted contributions are summed in
-interval order.
+The rules evaluated together (on the estimate path those of one refinement
+level, on the band path those of every accepted panel, after the last level)
+have their Gauss nodes in one flat 1-D array, the integrand is called once
+on it (on consecutive slices of it past _LEVEL_NODES nodes), and the rule
+sums and accept/split decisions are array operations.  The accepted
+contributions are summed in interval order.
 """
 
 from __future__ import annotations
@@ -175,16 +176,19 @@ def adaptive_complex(
     gauss_error_bound over the accepted panels: a proven bound on the rule
     error, not counting the rounding of the integrand's values.  Each panel
     of a refinement level is bounded as the level's widest, which on
-    panel_edges layouts is every panel to within rounding.  A panel whose
-    bound does not fit its share is bisected without being evaluated, and
-    each accepted panel costs order evaluations.  Without band a panel's
-    value is the sum of the rules on its two halves, the error is the sum of
-    the whole-vs-halves estimates, and each refinement level costs
-    3 * order evaluations per pending panel.
+    panel_edges layouts is every panel to within rounding.  The bounds need
+    no evaluation, so every level is decided first: a panel whose bound does
+    not fit its share is bisected, and then the accepted panels' rules are
+    evaluated in one _rule_sums call, in interval order, at order
+    evaluations each.  Without band a panel's value is the sum of the rules
+    on its two halves, the error is the sum of the whole-vs-halves
+    estimates, and each refinement level costs 3 * order evaluations per
+    pending panel.
 
     A panel at max_depth is accepted whatever its error.  Raises
     ToleranceNotMet when the error exceeds abs_tol, or when the panels still
-    pending need more evaluations than eval_budget has left.
+    pending need more evaluations than eval_budget has left; on the band
+    path either is raised before the integrand is called.
     """
     edges = np.asarray(edges, dtype=np.float64)
     total_width = edges[-1] - edges[0]
@@ -194,6 +198,7 @@ def adaptive_complex(
     keep = edges[1:] > edges[:-1]
     a, b = edges[:-1][keep], edges[1:][keep]
     rules = 3 if band is None else 1
+    # (starts, values) of the accepted panels, or (starts, ends) with band
     accepted: list[tuple[np.ndarray, np.ndarray]] = []
     achieved = 0.0
     n_evals = 0
@@ -215,12 +220,12 @@ def adaptive_complex(
             ok = np.ones(a.size, dtype=bool)
         else:
             ok = err <= abs_tol * (b - a) / total_width
-        if band is not None:
-            a_ok = a[ok]
-            n_evals += order * a_ok.size
-            accepted.append((a_ok, _rule_sums(f_batch, (a_ok,), (b[ok],), x, w)[:, 0]))
-        else:
+        if band is None:
             accepted.append((a[ok], halves[ok]))
+        else:
+            # an accepted panel's rule is evaluated after the last level
+            n_evals += order * int(np.count_nonzero(ok))
+            accepted.append((a[ok], b[ok]))
         for e in err[ok].tolist():
             achieved += e
         split = ~ok
@@ -235,8 +240,12 @@ def adaptive_complex(
             achieved=achieved,
         )
     starts = np.concatenate([start for start, _ in accepted])
-    values = np.concatenate([value for _, value in accepted])
-    contributions = values[np.argsort(starts, kind="stable")]
+    second = np.concatenate([column for _, column in accepted])
+    in_order = np.argsort(starts, kind="stable")
+    if band is None:
+        contributions = second[in_order]
+    else:
+        contributions = _rule_sums(f_batch, (starts[in_order],), (second[in_order],), x, w)[:, 0]
     value = complex(sum(contributions.tolist()))
     return value, achieved, n_evals
 

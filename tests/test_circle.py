@@ -65,14 +65,30 @@ def test_convolution_budget():
     inst = build_instance(10 ** 4, "3/2", THIRD, 2000)
     with pytest.raises(MemoryBudgetExceeded):
         exact_convolution_count(inst, mem_entries=64)
-    # the kernel holds n1 + 3 ceil(n1/8) + 2 (n2 + 8) bytes: one 8-byte
-    # entry below that must fail, and the rounded-up entry count must pass
-    n1, n2 = (int(p[-1] - p[0] + 1) for p in (window_primes(inst, 1), window_primes(inst, 2)))
-    need = n1 + 3 * ((n1 + 7) // 8) + 2 * (n2 + 8)
+    # A's W words, eight packings of window 2 of span bytes each, its first
+    # packing while they are built, and one chunk's words and counts: one
+    # 8-byte entry below that must fail, and the rounded-up entry count must
+    # pass
+    n1, n2 = _spans(inst)
+    words = (n1 + 63) // 64
+    span = (n1 + 7) // 8 + (n2 + 7) // 8 + 8 * words
+    rows = min(len(build_windows(inst).values), max(1, circle._GATHER_BYTES // (8 * words)))
+    need = 8 * words + 8 * span + (n2 + 7) // 8 + 2 + 9 * rows * words
     budget = -(-need // 8)
     with pytest.raises(MemoryBudgetExceeded, match=f"needs {need} bytes"):
         exact_convolution_count(inst, mem_entries=budget - 1)
     assert exact_convolution_count(inst, mem_entries=budget) == fast_count(inst).total
+
+
+@pytest.mark.parametrize("gather_bytes", [1, 8, 200, 5000])
+def test_convolution_chunks_do_not_change_the_count(monkeypatch, gather_bytes):
+    # from one target per chunk, where each chunk reads only its own overlap
+    # with window 2, to chunks of many targets with one word range for all
+    monkeypatch.setattr(circle, "_GATHER_BYTES", gather_bytes)
+    for inst in [build_instance(2 * 10 ** 4, "3/2", THIRD, 2000),
+                 build_instance(54321, "5/3", ("1/4", "1/4", "1/2"), 3000),
+                 build_instance(12, "3/2", ("1/4", "1/4", "1/2"), 3)]:
+        assert exact_convolution_count(inst) == brute_force_count(inst).total
 
 
 def test_convolution_large():
@@ -166,6 +182,13 @@ def test_convolution_edge_instances_reach_their_edges():
         | np.any(w.inst.N - w.values > w.p1[-1] + w.p2[-1])
     ]
     assert len(outside) == 3
+    # the parity skip must not drop these: at N = 12, t = 7 has the pairs
+    # (2, 5) and (5, 2)
+    odd = [
+        (w.inst.N, w.inst.N - v, r) for w in windows
+        for _, v, r in brute_force_count(w.inst).per_n if (w.inst.N - v) % 2 and r > 0
+    ]
+    assert (12, 7, 2) in odd
 
 
 def test_integrand_F_alpha0():

@@ -45,6 +45,26 @@ def test_window_membership_exact():
     assert not inst.in_window(1, lo - 1) and not inst.in_window(1, hi + 1)
 
 
+@settings(max_examples=300, deadline=None)
+@given(N=st.integers(1, 10 ** 12), d1=st.integers(3, 1000), d2=st.integers(3, 1000),
+       data=st.data())
+def test_window_edges_match_the_fraction_definition(N, d1, d2, data):
+    # window(k) takes its edges in integers; the definition is
+    # (ceil(mu_k N - H), floor(mu_k N + H)) in exact rationals
+    mu1 = Fraction(data.draw(st.integers(1, (d1 - 1) // 2)), d1)
+    mu2 = Fraction(data.draw(st.integers(1, (d2 - 1) // 2)), d2)
+    mu = (mu1, mu2, 1 - mu1 - mu2)
+    top = math.floor(min(mu) * N)
+    H = data.draw(st.sampled_from((0, top)) | st.integers(0, top))
+    inst = build_instance(N, "3/2", mu, H)
+    for k in (1, 2, 3):
+        centre = mu[k - 1] * N
+        lo, hi = inst.window(k)
+        assert (lo, hi) == (math.ceil(centre - H), math.floor(centre + H))
+        for m in (lo - 1, lo, hi, hi + 1):
+            assert inst.in_window(k, m) == (lo <= m <= hi)
+
+
 def reference_params(inst) -> tuple[float, ...]:
     """(n1, n2, n3, h3, kappa) at 200 bits, each then rounded to a double.
 

@@ -360,6 +360,32 @@ def test_band_path_matches_per_panel_reference_with_splits():
         assert got[1] == pytest.approx(want[1], rel=1e-9)
 
 
+def test_band_path_decides_every_split_before_one_evaluation():
+    # two panels of 24 and 12 periods, each bounded as the wider at the first
+    # level, B: at abs_tol = 1.5 B W / w1 the wide panel's share is 1.5 B, so
+    # it is accepted, and the narrow one's 0.75 B, so it splits once into
+    # 6-period panels, whose bound fits; the three accepted rules then take
+    # one integrand call
+    f, F, sup, coeffs = band_cases()
+    calls = []
+
+    def counted(alpha):
+        calls.append(alpha.size)
+        return f(alpha)
+
+    a = 0.0123
+    edges = [a, a + 24.0 / F, a + 36.0 / F]
+    total, wide = edges[2] - edges[0], edges[1] - edges[0]
+    bound = gauss_error_bound(wide, F, sup, _BAND_ORDER)
+    value, err, n_evals = adaptive_complex(
+        counted, edges, 1.5 * bound * total / wide, order=_BAND_ORDER, band=(F, sup))
+    assert calls == [3 * _BAND_ORDER]
+    assert n_evals == 3 * _BAND_ORDER
+    assert bound <= err <= 1.5 * bound
+    exact = trig_closed_form(coeffs, edges[0], edges[2])
+    assert abs(value - exact) <= err + 1e-14 * sup * total
+
+
 def test_band_periods_is_the_largest_whole_number_below_double_rounding():
     # the band rule's panels are as long as the order-_BAND_ORDER rule's
     # proven error allows while it stays within 2^-53 of sup * width, for
