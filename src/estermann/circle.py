@@ -23,7 +23,7 @@ import numpy as np
 from .counting import DEFAULT_MEM_ENTRIES, Windows, build_windows, fast_count
 from .errors import MemoryBudgetExceeded
 from .instance import DerivedParams, ProblemInstance, derive_params, log_centres
-from .quadrature import _BAND_ORDER, _BAND_PERIODS, adaptive_complex, panel_edges
+from .quadrature import adaptive_complex, band_layout
 
 
 class ExactIntegrand:
@@ -260,6 +260,8 @@ class ArcReport:
     # the proven bound on the quadrature rules' error, rounding aside, over
     # all of [-1/2, 1/2] but the closed-form model minor arcs
     achieved_error: float
+    # the quadrature's integrand evaluations, one rule of the order
+    # quadrature.band_layout picks per panel of each integrated interval
     n_evals: int
 
     @property
@@ -343,9 +345,13 @@ def integrate_arcs(
     integrand's conjugate symmetry gives I_major = 2 Re of the first and
     I_minor_minus = conj(I_minor_plus).  When kappa >= 1/2 the second
     interval is empty: I_major is the full integral and both minor integrals
-    are zero.  Quadrature panels span at most _BAND_PERIODS = 24 periods of
-    the top frequency (quadrature.panel_edges), and adaptive_complex takes
-    them by its band rule of order _BAND_ORDER = 64: both integrands are
+    are zero.  Each of the two intervals gets its own band rule from
+    quadrature.band_layout: of the order-64 to order-256 rows of
+    quadrature._BAND_RULES, each on panels of the most periods of the top
+    frequency its proven bound allows (24 at order 64, 134 at order 256),
+    the row that needs the fewest evaluations there, so a short major arc
+    keeps a low order and a long minor arc takes a high one.
+    adaptive_complex takes the panels by its band rule: both integrands are
     band-limited with a known sup.  The exact integrand is a sum of
     e(k alpha) with non-negative coefficients and |k| <= max_frequency(),
     so its modulus off the real line is at most its value at 0,
@@ -357,12 +363,13 @@ def integrate_arcs(
     In model mode the minor arc is the closed form ModelIntegrand.integral,
     so achieved_error and n_evals count the major arc only.  achieved_error
     counts the bound on [0, 1/2] twice, once for its mirror image; n_evals
-    counts the quadrature's integrand evaluations, one 64-point rule per
-    24-period panel, which are made once each.  Exact mode builds the
-    windows once (counting.build_windows) and hands the same value to the
-    integrand and to the convolution count, whose agreement with Re(sum of
-    the three integrals) is the additivity cross-check, and the one check
-    that covers the integrand's rounding.  Model mode takes exact_total from
+    counts the quadrature's integrand evaluations, one rule of the chosen
+    order per panel (1.91 to 2.67 per period of the top frequency), which
+    are made once each.  Exact mode builds the windows once
+    (counting.build_windows) and hands the same value to the integrand and
+    to the convolution count, whose agreement with Re(sum of the three
+    integrals) is the additivity cross-check, and the one check that covers
+    the integrand's rounding.  Model mode takes exact_total from
     fast_count.  dp, when given, must be derive_params(inst).
     Raises ValueError unless mu_k N > 1 for k = 1, 2.
     """
@@ -377,22 +384,23 @@ def integrate_arcs(
         windows = build_windows(inst)
         integrand = ExactIntegrand(windows)
         fmax = integrand.max_frequency()
+        peak = abs(complex(integrand(np.array([0.0]))[0]))
         exact_total = exact_convolution_count(windows, mem_entries=mem_entries)
     elif mode == "model":
         integrand = ModelIntegrand(inst, dp)
         fmax = 3.0 * max(inst.H, 1)
+        peak = integrand.amp  # its value at 0, where sinc^3 peaks
         exact_total = fast_count(inst, mem_entries=mem_entries).total
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    peak = abs(complex(integrand(np.array([0.0]))[0]))
     scale = max(peak, 1.0)
     k = min(kappa, 0.5)
 
     def run(a: float, b: float) -> tuple[complex, float, int]:
-        edges = panel_edges(a, b, fmax, _BAND_PERIODS)
+        order, edges = band_layout(a, b, fmax)
         return adaptive_complex(
-            integrand, edges, abs_tol=tol * scale * (b - a), order=_BAND_ORDER,
+            integrand, edges, abs_tol=tol * scale * (b - a), order=order,
             band=(fmax, peak),
         )
 

@@ -13,7 +13,8 @@ error come from one of two paths:
   is its one rule, and its error gauss_error_bound, a proven bound that
   depends only on the panel width, so every split is decided before
   anything is evaluated and only the rules of accepted panels are computed.
-  Its panels span _BAND_PERIODS periods under a rule of order _BAND_ORDER;
+  band_layout picks its order and panels per interval from the rows of
+  _BAND_RULES: the row with the fewest evaluations there;
 - the whole-vs-halves estimate otherwise: a panel's value is the sum of the
   rules on its two halves, the rule on the whole panel is computed as well,
   and the discrepancy stands for the error.  Its panels span
@@ -44,14 +45,15 @@ from .errors import ToleranceNotMet
 # whole-vs-halves estimate splits no panel for tol >= 1e-12.
 _PERIODS_PER_PANEL = 10.0
 _PANEL_ORDER = 32
-# The band rule's panels span this many periods under a rule of this order:
-# the largest whole number at which the order-64 rule's proven error
-# (gauss_error_bound) stays below 2^-53 of the sup times the width, 9.0e-18
-# at 24 periods against 5.9e-16 at 25.  So the band rule splits no panel for
-# any tolerance down to that, at 2.67 evaluations per period (the order-32
-# rule would need 4.0, on 8-period panels).
-_BAND_ORDER = 64
-_BAND_PERIODS = 24
+# The band rule's rows, (order, panel periods): each row's panels span the
+# largest whole number of periods at which its rule's proven error
+# (gauss_error_bound) stays below 2^-53 of the sup times the width (at order
+# 64, 9.0e-18 at 24 periods against 5.9e-16 at 25).  So the band rule splits
+# no panel for any tolerance down to that.  Per period the rows cost 2.67,
+# 2.34, 2.17, 2.00 and 1.91 evaluations (the order-32 rule would need 4.0,
+# on 8-period panels); band_layout picks a row per interval, since a short
+# interval rounds up to whole panels, where a lower order wastes less.
+_BAND_RULES = ((64, 24), (96, 41), (128, 59), (192, 96), (256, 134))
 
 # Larger levels are evaluated in consecutive slices of whole panels, so the
 # node and value arrays stay bounded whatever the panel count.
@@ -111,12 +113,13 @@ def gauss_error_bound(
     |f| on E_rho, and the panel scales it by width/2.  The rho used,
     t + sqrt(t^2 - 1) with t = 2n/(pi P), minimizes all but the
     1/(rho^2 - 1) factor; at n = 32 it is within 0.06% of the best rho up to
-    P = 12, and at n = 64 within 0.04% up to P = 25.  The bound grows with
-    width.  Where t <= 1 (P >= 2n/pi, 20.4 periods at n = 32 and 40.7 at
-    n = 64, where no rho does better than the trivial bound) it is inf.  At
-    n = 32 it is 2.5e-31, 6.4e-19, 6.1e-16, 2.4e-13 and 4.6e-9 times
-    sup * width at P = 5, 8, 9, 10 and 12; at n = 64 it is 9.0e-18 and
-    5.9e-16 at P = 24 and 25.
+    P = 12, and at each _BAND_RULES row's panel length within 0.1%.  The
+    bound grows with width.  Where t <= 1 (P >= 2n/pi, 20.4 periods at
+    n = 32, 40.7 at n = 64 and 163.0 at n = 256, where no rho does better
+    than the trivial bound) it is inf.  At n = 32 it is 2.5e-31, 6.4e-19,
+    6.1e-16, 2.4e-13 and 4.6e-9 times sup * width at P = 5, 8, 9, 10 and 12;
+    at n = 64 it is 9.0e-18 and 5.9e-16 at P = 24 and 25, and at n = 256
+    2.1e-17 and 1.8e-16 at P = 134 and 135.
     """
     if sup == 0.0:
         return 0.0
@@ -167,7 +170,7 @@ def adaptive_complex(
     """Integrate f over the partition given by edges.
 
     The default order is the panel rule's, for edges from panel_edges;
-    band-rule callers on _BAND_PERIODS-period panels pass _BAND_ORDER.
+    band-rule callers take the order and the edges from band_layout.
     Returns (value, error, evaluation_count).
 
     With band=(top_frequency, sup) the caller promises |f(z)| <= sup *
@@ -254,16 +257,31 @@ def uniform_edges(a: float, b: float, n_panels: int) -> np.ndarray:
     return np.linspace(a, b, max(1, n_panels) + 1)
 
 
+def _panel_count(a: float, b: float, top_frequency: float, periods: float) -> int:
+    if top_frequency <= 0:
+        return 1
+    return max(1, math.ceil((b - a) / (periods / top_frequency)))
+
+
 def panel_edges(
     a: float, b: float, top_frequency: float, periods: float = _PERIODS_PER_PANEL
 ) -> np.ndarray:
     """The fewest equal panels on [a, b], each at most periods periods long.
 
     A period is 1/top_frequency; a top frequency of 0 gives one panel.  The
-    default suits the whole-vs-halves estimate; band-rule callers pass
-    _BAND_PERIODS (and order _BAND_ORDER to adaptive_complex).
+    default suits the whole-vs-halves estimate; band-rule callers use
+    band_layout.
     """
-    if top_frequency <= 0:
-        return uniform_edges(a, b, 1)
-    width = periods / top_frequency
-    return uniform_edges(a, b, math.ceil((b - a) / width))
+    return uniform_edges(a, b, _panel_count(a, b, top_frequency, periods))
+
+
+def band_layout(a: float, b: float, top_frequency: float) -> tuple[int, np.ndarray]:
+    """The band rule's order and panel edges on [a, b].
+
+    Of the _BAND_RULES rows, the one whose panel_edges layout takes the
+    fewest evaluations, order times panels; a tie goes to the lower order.
+    """
+    order, periods = min(
+        _BAND_RULES, key=lambda row: row[0] * _panel_count(a, b, top_frequency, row[1])
+    )
+    return order, panel_edges(a, b, top_frequency, periods)

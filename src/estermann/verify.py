@@ -39,7 +39,7 @@ from .expsums import (
 )
 from .instance import build_instance, derive_params
 from .quadrature import (
-    _BAND_ORDER, _BAND_PERIODS, adaptive_complex, gauss_error_bound, leggauss, panel_edges,
+    _BAND_RULES, adaptive_complex, gauss_error_bound, leggauss, panel_edges,
 )
 from .sieve import lambda_segment, primes_in, psi
 
@@ -236,47 +236,47 @@ def check_quadrature_selftest(quick: bool) -> Check:
     J = singular_integral_J(10 ** 4, L * L / (3.0 * 10 ** 4))
     if abs(J.value - J.reference) > 0.05 * J.reference:
         return ("quadrature_selftest", False, f"J(H) off: {J.value:.6g} vs {J.reference:.6g}")
-    # The proven Gauss bound of the band rule's order against the closed
-    # form of a seeded non-negative trigonometric polynomial weighted to its
-    # top frequency F, on panels of 28 and 30 periods, where the rule's
-    # error is far above rounding (the allowance is 1e-14 of sup * width).
-    # Exact-mode additivity, the check that covers the integrand's rounding,
-    # is the orthogonality check.
+    # Each band rule row's proven Gauss bound against the closed form of a
+    # seeded non-negative trigonometric polynomial weighted to its top
+    # frequency F, on panels 8 and 10 periods past the row's own, where the
+    # rule's error is far above rounding (the allowance is 1e-14 of
+    # sup * width); then the band rule as integrate_arcs runs it, one rule
+    # per panel of the row's length over a run of six panels, within its
+    # proven bound plus the same allowance.  Exact-mode additivity, the check
+    # that covers the integrand's rounding, is the orthogonality check.
     rng = random.Random(19)
     F = 40
     ks = np.arange(-F, F + 1)
     coeffs = np.array([rng.random() * (1.0 if abs(k) >= F - 2 else 0.01) for k in ks.tolist()])
     sup = float(coeffs.sum())
-    x, w = leggauss(_BAND_ORDER)
-    for periods in (28.0, 30.0):
-        width = periods / F
-        a = rng.random()
-        nodes = a + 0.5 * width * (x + 1.0)
-        rule = 0.5 * width * np.sum(w * (np.exp(2j * np.pi * np.outer(nodes, ks)) @ coeffs))
-        closed = _exp_segment(ks, a, a + width) @ coeffs
-        err, bound = abs(rule - closed), float(gauss_error_bound(width, F, sup, _BAND_ORDER))
-        if not err <= bound + 1e-14 * sup * width:
-            return ("quadrature_selftest", False,
-                    f"order-{_BAND_ORDER} Gauss error {err:.3g} above its proven bound "
-                    f"{bound:.3g} at {periods} periods")
-    # The band rule as integrate_arcs runs it, one order-_BAND_ORDER rule per
-    # _BAND_PERIODS-period panel over a run of six panels, within its proven
-    # bound plus the same allowance of the closed form.
-    a = rng.random() - 0.5
-    b = a + 6 * _BAND_PERIODS / F
     f = lambda t: np.exp(2j * np.pi * np.multiply.outer(t, ks)) @ coeffs
-    value, achieved, _ = adaptive_complex(
-        f, panel_edges(a, b, F, _BAND_PERIODS), 1e-10 * sup * (b - a), order=_BAND_ORDER,
-        band=(F, sup),
-    )
-    band_rule = f"order-{_BAND_ORDER} band rule on {_BAND_PERIODS}-period panels"
-    err = abs(value - _exp_segment(ks, a, b) @ coeffs)
-    if not err <= achieved + 1e-14 * sup * (b - a):
-        return ("quadrature_selftest", False,
-                f"{band_rule} off by {err:.3g}, above its bound {achieved:.3g}")
+    for order, periods in _BAND_RULES:
+        x, w = leggauss(order)
+        for past in (8, 10):
+            width = (periods + past) / F
+            a = rng.random()
+            rule = 0.5 * width * np.sum(w * f(a + 0.5 * width * (x + 1.0)))
+            closed = _exp_segment(ks, a, a + width) @ coeffs
+            err, bound = abs(rule - closed), float(gauss_error_bound(width, F, sup, order))
+            if not err <= bound + 1e-14 * sup * width:
+                return ("quadrature_selftest", False,
+                        f"order-{order} Gauss error {err:.3g} above its proven bound "
+                        f"{bound:.3g} at {periods + past} periods")
+        a = rng.random() - 0.5
+        b = a + 6 * periods / F
+        value, achieved, _ = adaptive_complex(
+            f, panel_edges(a, b, F, periods), 1e-10 * sup * (b - a), order=order,
+            band=(F, sup),
+        )
+        err = abs(value - _exp_segment(ks, a, b) @ coeffs)
+        if not err <= achieved + 1e-14 * sup * (b - a):
+            return ("quadrature_selftest", False,
+                    f"order-{order} band rule on {periods}-period panels off by {err:.3g}, "
+                    f"above its bound {achieved:.3g}")
+    rows = ", ".join(f"{order}/{periods}" for order, periods in _BAND_RULES)
     return ("quadrature_selftest", True,
-            f"linear kernel, sin^3 tail, J(H) within bands; order-{_BAND_ORDER} Gauss bound "
-            f"holds at 28, 30 periods; {band_rule} within its bound")
+            f"linear kernel, sin^3 tail, J(H) within bands; each band rule (order/periods "
+            f"{rows}) within its proven bound 8 and 10 periods past its panels and on them")
 
 
 def check_si_oracle(quick: bool) -> Check:

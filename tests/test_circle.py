@@ -29,8 +29,7 @@ from estermann.errors import MemoryBudgetExceeded
 from estermann.expsums import PhaseReducer, approx_prime_sum, approx_S_c, char_sum, cis
 from estermann.instance import build_instance, derive_params
 from estermann.quadrature import (
-    _BAND_ORDER,
-    _BAND_PERIODS,
+    _BAND_RULES,
     adaptive_complex,
     panel_edges,
     uniform_edges,
@@ -481,8 +480,9 @@ def test_arc_report_derived_values(mode, H):
     (2000, "3/2", THIRD, 35, "exact"),  # kappa >= 1/2: one interval
 ])
 def test_arcs_band_rule_bound_and_evaluations(N, c, mu, H, mode):
-    # every _BAND_PERIODS-period panel is accepted on its one rule,
-    # _BAND_ORDER evaluations, and the proven bound fits tol * max(sup, 1)
+    # each integrated interval takes the _BAND_RULES row with the fewest
+    # evaluations there, counted on panel_edges' layout; every panel is
+    # accepted on its one rule, and the proven bound fits tol * max(sup, 1)
     # over the whole period
     inst = build_instance(N, c, mu, H)
     tol = 1e-6
@@ -496,10 +496,44 @@ def test_arcs_band_rule_bound_and_evaluations(N, c, mu, H, mode):
         fmax = 3.0 * H
         sup = ModelIntegrand(inst, derive_params(inst)).amp
         arcs = [(0.0, rep.kappa)]
-    panels = sum(len(panel_edges(a, b, fmax, _BAND_PERIODS)) - 1 for a, b in arcs if b > a)
-    assert rep.n_evals == _BAND_ORDER * panels
+    fewest = [min(order * (len(panel_edges(a, b, fmax, periods)) - 1)
+                  for order, periods in _BAND_RULES) for a, b in arcs if b > a]
+    assert rep.n_evals == sum(fewest)
     assert 0.0 < rep.achieved_error <= tol * max(sup, 1.0)
     assert rep.additivity_error < 0.5 or mode == "model"
+
+
+def test_arcs_major_and_minor_arcs_take_different_orders(monkeypatch):
+    # a short major arc (85 periods of the top frequency) takes one order-192
+    # panel and the long minor arc (1715 periods) thirteen of order 256
+    orders = []
+
+    def recording(f, edges, abs_tol, *, order, band):
+        orders.append((order, len(edges) - 1))
+        return adaptive_complex(f, edges, abs_tol, order=order, band=band)
+
+    monkeypatch.setattr(circle, "adaptive_complex", recording)
+    rep = integrate_arcs(build_instance(10 ** 4, "3/2", THIRD, 1200), mode="exact", tol=1e-6)
+    assert orders == [(192, 1), (256, 13)]
+    assert rep.n_evals == 192 + 256 * 13
+    assert rep.additivity_error < 0.5
+
+
+def test_exact_arc_agrees_across_band_rules():
+    # one exact minor arc integrated with each _BAND_RULES row alone: the
+    # values agree within the sum of the two proven bounds, plus the 1e-14
+    # of sup * width that covers the integrand's rounding
+    inst = build_instance(5284, "3/2", ("2/5", "1/5", "2/5"), 404)
+    w = build_windows(inst)
+    f = ExactIntegrand(w)
+    fmax, sup = f.max_frequency(), float(len(w.p1) * len(w.p2) * len(w.values))
+    a, b = derive_params(inst).kappa, 0.5
+    results = [adaptive_complex(f, panel_edges(a, b, fmax, periods), 1e-6 * sup * (b - a),
+                                order=order, band=(fmax, sup))
+               for order, periods in _BAND_RULES]
+    for i, (value, err, _) in enumerate(results):
+        for other, other_err, _ in results[:i]:
+            assert abs(value - other) <= err + other_err + 1e-14 * sup * (b - a)
 
 
 def test_arcs_reach_the_benchmark_layers(monkeypatch):
@@ -537,7 +571,9 @@ def test_arcs_reach_the_benchmark_layers(monkeypatch):
     assert calls["primes_in"] == 2 and calls["admissible_floor_values"] == 1
     assert calls["exact_convolution_count"] == 1 and calls["fast_count"] == 0
     integrate_arcs(inst, mode="model", tol=1e-6)
-    assert calls["adaptive_complex"] == 3 and calls["ModelIntegrand"] >= 2
+    # one call, the major arc's rules: the sup is ModelIntegrand.amp, its
+    # value at 0, not an evaluation there
+    assert calls["adaptive_complex"] == 3 and calls["ModelIntegrand"] == 1
     assert calls["fast_count"] == 1 and calls["exact_convolution_count"] == 1
 
 

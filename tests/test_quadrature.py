@@ -4,6 +4,7 @@ import cmath
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -17,11 +18,11 @@ from estermann.expsums import PhaseReducer, char_sum, cis
 from estermann import quadrature
 from estermann.instance import build_instance
 from estermann.quadrature import (
-    _BAND_ORDER,
-    _BAND_PERIODS,
+    _BAND_RULES,
     _PANEL_ORDER,
     _PERIODS_PER_PANEL,
     adaptive_complex,
+    band_layout,
     gauss_error_bound,
     leggauss,
     panel_edges,
@@ -189,8 +190,17 @@ def test_adaptive_complex_budget_checked_before_evaluating():
     assert calls == [24, 48, 96]
 
 
+@lru_cache(maxsize=None)
 def mp_leggauss(n: int, dps: int = 80):
-    """Order-n Gauss-Legendre nodes and weights at dps digits, by Newton's method."""
+    """Order-n Gauss-Legendre nodes and weights at dps digits, by Newton's method.
+
+    Newton starts from numpy's rule (an eigenvalue solve, independent of
+    leggauss) and stops after the first step below 10^(-dps/2), which leaves
+    each node within about n^2 10^-dps of its root.  P_n is even or odd, so
+    only the non-negative roots are found and the others mirrored; the n
+    nodes come out strictly increasing, so they are all the roots.  Cached:
+    each rule is computed once per session.
+    """
     import mpmath as mp
 
     def legendre(t):
@@ -199,31 +209,39 @@ def mp_leggauss(n: int, dps: int = 80):
             p0, p1 = p1, ((2 * j - 1) * t * p1 - (j - 1) * p0) / j
         return p1, n * (t * p1 - p0) / (t * t - 1)
 
-    rule = []
+    upper = []
     with mp.workdps(dps):
-        for start in np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5)).tolist():
+        close = mp.mpf(10) ** -(dps // 2)
+        for start in np.polynomial.legendre.leggauss(n)[0][n // 2:].tolist():
             t = mp.mpf(start)
             for _ in range(12):
                 p, dp = legendre(t)
-                t -= p / dp
-            rule.append((t, 2 / ((1 - t * t) * legendre(t)[1] ** 2)))
+                step = p / dp
+                t -= step
+                if abs(step) < close:
+                    break
+            assert abs(step) < close
+            upper.append((t, 2 / ((1 - t * t) * legendre(t)[1] ** 2)))
+        rule = tuple((-t, wt) for t, wt in reversed(upper[n % 2:])) + tuple(upper)
+    assert len(rule) == n and all(s < t for (s, _), (t, _) in zip(rule, rule[1:]))
     return rule
 
 
 def test_band_order_leggauss_matches_80_digit_rule():
-    # the band rule's nodes within 2^-53 of the 80-digit ones (6.4e-17
-    # measured), and its weights within 1e-14 in sum (2.3e-15; numpy's own
-    # order-64 rule is 1.7e-14 off), so the rule's own rounding stays near
-    # 1e-15 of sup * width
+    # each band rule's nodes within 2^-53 of the 80-digit ones (5.0e-17 to
+    # 6.4e-17 measured), and its weights within 1e-14 in sum (2.3e-15 at
+    # order 64 to 4.9e-15 at 256; numpy's own order-64 rule is 1.7e-14 off),
+    # so the rule's own rounding stays near 1e-15 of sup * width
     import mpmath as mp
 
-    x, w = leggauss(_BAND_ORDER)
-    with mp.workdps(80):
-        rule = mp_leggauss(_BAND_ORDER)
-        node_err = max(abs(mp.mpf(t) - ref) for t, (ref, _) in zip(x.tolist(), rule))
-        weight_err = sum(abs(mp.mpf(v) - ref) for v, (_, ref) in zip(w.tolist(), rule))
-    assert node_err <= 2.0 ** -53
-    assert weight_err <= 1e-14
+    for order, _ in _BAND_RULES:
+        x, w = leggauss(order)
+        with mp.workdps(80):
+            rule = mp_leggauss(order)
+            node_err = max(abs(mp.mpf(t) - ref) for t, (ref, _) in zip(x.tolist(), rule))
+            weight_err = sum(abs(mp.mpf(v) - ref) for v, (_, ref) in zip(w.tolist(), rule))
+        assert node_err <= 2.0 ** -53, order
+        assert weight_err <= 1e-14, order
 
 
 def trig_rule_error(coeffs: dict, a: float, width: float, rule, dps: int = 80) -> float:
@@ -237,7 +255,16 @@ def trig_rule_error(coeffs: dict, a: float, width: float, rule, dps: int = 80) -
         a, w = mp.mpf(a), mp.mpf(width)
         b = a + w
         e_ = lambda t: mp.expjpi(2 * t)
-        f = lambda t: sum(c * e_(k * t) for k, c in coeffs.items())
+        top = max(abs(k) for k in coeffs)
+
+        def f(t):
+            # e(k t) as powers of e(t), and e(-k t) as their conjugates
+            z, powers = e_(t), [mp.mpc(1)]
+            for _ in range(top):
+                powers.append(powers[-1] * z)
+            return sum(c * (powers[k] if k >= 0 else mp.conj(powers[-k]))
+                       for k, c in coeffs.items())
+
         quad = w / 2 * sum(wt * f(a + w / 2 * (t + 1)) for t, wt in rule)
         exact = sum(c * w if k == 0 else c * (e_(k * b) - e_(k * a)) / (2j * mp.pi * k)
                     for k, c in coeffs.items())
@@ -248,15 +275,16 @@ def trig_rule_error(coeffs: dict, a: float, width: float, rule, dps: int = 80) -
 def test_gauss_error_bound_dominates_rule_error(seed):
     # seeded non-negative trigonometric polynomials of top frequency F: the
     # order-32 rule's error, at 80 digits so rounding cannot hide it, stays
-    # below the proven bound on panels of 2.5 to 12 periods, and the band
-    # rule's (order 64) on panels of 16 to 24 periods
+    # below the proven bound on panels of 2.5 to 12 periods, and each band
+    # rule's on panels of its own length and 4 periods less, where the bound
+    # is 2.5e-26 to 2.1e-17 of sup * width, far above the 80-digit floor
     rng = random.Random(seed)
     F = rng.randint(5, 60)
     coeffs = {k: rng.random() for k in range(-F, F + 1) if rng.random() < 0.5}
     coeffs[rng.choice((F, -F))] = rng.random()
     sup = sum(coeffs.values())
     for order, periods_list in ((_PANEL_ORDER, (2.5, 5.0, 8.0, 10.0, 12.0)),
-                                (_BAND_ORDER, (16.0, 20.0, 24.0))):
+                                *((order, (P - 4.0, float(P))) for order, P in _BAND_RULES)):
         rule = mp_leggauss(order)
         for periods in periods_list:
             width = periods / F
@@ -322,24 +350,24 @@ def trig_closed_form(coeffs: dict, a: float, b: float) -> complex:
 
 @pytest.mark.parametrize("a, b", [(0.0, 0.5), (0.0123, 0.5), (-0.5, 0.5), (0.3, 0.31)])
 def test_band_path_matches_estimate_path_on_panel_edges(a, b):
-    # each path on the layout it is used with: the band rule's one
-    # order-_BAND_ORDER rule per _BAND_PERIODS-period panel, the estimate's
-    # two order-_PANEL_ORDER half rules per _PERIODS_PER_PANEL-period panel;
-    # neither splits a panel, and both meet the closed form within their own
-    # error, plus rounding
+    # each path on the layout it is used with: the band rule's one rule per
+    # panel of band_layout's row (order 64 on the short interval, 128 on the
+    # others), the estimate's two order-_PANEL_ORDER half rules per
+    # _PERIODS_PER_PANEL-period panel; neither splits a panel, and both meet
+    # the closed form within their own error, plus rounding
     f, F, sup, coeffs = band_cases()
-    band_edges, edges = panel_edges(a, b, F, _BAND_PERIODS), panel_edges(a, b, F)
+    (order, band_edges), edges = band_layout(a, b, F), panel_edges(a, b, F)
     tol = 1e-10 * sup * (b - a)
-    value, err, n_evals = adaptive_complex(f, band_edges, tol, order=_BAND_ORDER, band=(F, sup))
+    value, err, n_evals = adaptive_complex(f, band_edges, tol, order=order, band=(F, sup))
     estimate = adaptive_complex(f, edges, tol)
     assert estimate[2] == 3 * _PANEL_ORDER * (len(edges) - 1)
-    assert n_evals == _BAND_ORDER * (len(band_edges) - 1)
+    assert n_evals == order * (len(band_edges) - 1)
     exact = trig_closed_form(coeffs, a, b)
     rounding = 1e-14 * sup * (b - a)
     assert abs(value - exact) <= err + rounding
     assert abs(estimate[0] - exact) <= estimate[1] + rounding
     assert err <= tol and err == pytest.approx(
-        sum(band_bound_reference(hi - lo, F, sup, _BAND_ORDER)
+        sum(band_bound_reference(hi - lo, F, sup, order)
             for lo, hi in zip(band_edges[:-1], band_edges[1:])),
         rel=1e-9)
 
@@ -353,9 +381,9 @@ def test_band_path_matches_per_panel_reference_with_splits():
     width = 96.0 / F
     for tol, panels in ((1e-10, 4), (1e-18, 8)):
         abs_tol = tol * sup * width
-        got = adaptive_complex(f, [0.1, 0.1 + width], abs_tol, order=_BAND_ORDER, band=(F, sup))
-        want = per_panel_reference(f, [0.1, 0.1 + width], abs_tol, _BAND_ORDER, band=(F, sup))
-        assert got[2] == want[2] == _BAND_ORDER * panels
+        got = adaptive_complex(f, [0.1, 0.1 + width], abs_tol, order=64, band=(F, sup))
+        want = per_panel_reference(f, [0.1, 0.1 + width], abs_tol, 64, band=(F, sup))
+        assert got[2] == want[2] == 64 * panels
         assert got[0] == want[0]
         assert got[1] == pytest.approx(want[1], rel=1e-9)
 
@@ -376,24 +404,48 @@ def test_band_path_decides_every_split_before_one_evaluation():
     a = 0.0123
     edges = [a, a + 24.0 / F, a + 36.0 / F]
     total, wide = edges[2] - edges[0], edges[1] - edges[0]
-    bound = gauss_error_bound(wide, F, sup, _BAND_ORDER)
+    bound = gauss_error_bound(wide, F, sup, 64)
     value, err, n_evals = adaptive_complex(
-        counted, edges, 1.5 * bound * total / wide, order=_BAND_ORDER, band=(F, sup))
-    assert calls == [3 * _BAND_ORDER]
-    assert n_evals == 3 * _BAND_ORDER
+        counted, edges, 1.5 * bound * total / wide, order=64, band=(F, sup))
+    assert calls == [3 * 64]
+    assert n_evals == 3 * 64
     assert bound <= err <= 1.5 * bound
     exact = trig_closed_form(coeffs, edges[0], edges[2])
     assert abs(value - exact) <= err + 1e-14 * sup * total
 
 
 def test_band_periods_is_the_largest_whole_number_below_double_rounding():
-    # the band rule's panels are as long as the order-_BAND_ORDER rule's
-    # proven error allows while it stays within 2^-53 of sup * width, for
-    # any top frequency
-    for F, sup in ((1.0, 1.0), (211.0, 37.5), (3e5, 1e12)):
-        fits = [gauss_error_bound(P / F, F, sup, _BAND_ORDER) <= 2.0 ** -53 * sup * (P / F)
-                for P in range(1, 41)]
-        assert all(fits[:_BAND_PERIODS]) and not any(fits[_BAND_PERIODS:])
+    # each band rule's panels are as long as its order's proven error allows
+    # while it stays within 2^-53 of sup * width, for any top frequency; and
+    # each row costs fewer evaluations per period than the one before, or
+    # band_layout would never take it on a long interval
+    for order, periods in _BAND_RULES:
+        for F, sup in ((1.0, 1.0), (211.0, 37.5), (3e5, 1e12)):
+            fits = [gauss_error_bound(P / F, F, sup, order) <= 2.0 ** -53 * sup * (P / F)
+                    for P in range(1, 2 * periods)]
+            assert all(fits[:periods]) and not any(fits[periods:]), order
+    costs = [order / periods for order, periods in _BAND_RULES]
+    assert costs == sorted(costs, reverse=True) and len(set(costs)) == len(costs)
+    assert [order for order, _ in _BAND_RULES] == sorted(order for order, _ in _BAND_RULES)
+
+
+@pytest.mark.parametrize("a, b, F, order", [
+    (0.0, 0.01, 3000.0, 96),     # 30 periods: one order-96 panel beats two of 64
+    (0.0, 0.015, 3000.0, 64),    # 45 periods: two order-64 panels tie one of 128
+    (0.0, 0.0236, 3600.0, 192),  # a major arc: 85 periods on one order-192 panel
+    (0.0236, 0.5, 3600.0, 256),  # its minor arc: 13 order-256 panels
+    (0.0, 0.5, 211.0, 128),      # 105.5 periods: 128 ties with 256 and wins
+    (0.3, 0.3, 50.0, 64),        # empty, and frequency 0: one panel, the
+    (3.0, 17.0, 0.0, 64),        # lowest order
+])
+def test_band_layout_takes_the_fewest_evaluations(a, b, F, order):
+    # the row with the fewest evaluations, counted on panel_edges' own
+    # layout, the lower order on a tie
+    got, edges = band_layout(a, b, F)
+    costs = [(o * (len(panel_edges(a, b, F, periods)) - 1), o) for o, periods in _BAND_RULES]
+    assert (got * (len(edges) - 1), got) == min(costs)
+    assert got == order
+    assert np.array_equal(edges, panel_edges(a, b, F, dict(_BAND_RULES)[got]))
 
 
 def test_band_path_absurd_tolerance_raises():
