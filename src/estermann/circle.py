@@ -20,8 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .counting import DEFAULT_MEM_ENTRIES, Windows, build_windows, fast_count
-from .errors import MemoryBudgetExceeded
+from .counting import DEFAULT_MEM_ENTRIES, Windows, _check_budget, build_windows, fast_count
 from .instance import DerivedParams, ProblemInstance, derive_params, log_centres
 from .quadrature import adaptive_complex, band_layout
 
@@ -42,6 +41,12 @@ class ExactIntegrand:
     alpha*k is off by at most 2^-54 * (H + 1) turns.  Rounding the node alpha
     to a double already moves the true integrand's phases, which reach about
     3H, by the same order, so reducing the rounded node exactly buys nothing.
+
+    band = (top, sup) gives |f(z)| <= sup * e^(2 pi top |Im z|) for the band
+    rule.  f is the sum of |P1| |P2| |V| terms e(z (p1 + p2 + v - N)), each
+    of modulus at most e^(2 pi top |Im z|) with top the largest
+    |p1 + p2 + v - N| (1.0 when a window is empty and f = 0), so
+    sup = |P1| |P2| |V|, which is also f(0).
     """
 
     # 128 KiB per work buffer: a chunk's arrays stay in L2 and peak RSS stays flat
@@ -67,16 +72,12 @@ class ExactIntegrand:
         # or with these buffers.
         self._step = max(1, self._CHUNK_ELEMENTS // max(self._offsets.size, 1))
         self._work = np.empty((3, self._step, self._offsets.size))
-
-    def max_frequency(self) -> float:
-        """Largest |p1 + p2 + v - N| over the attainable support."""
-        w = self.windows
-        if w.empty:
-            return 1.0
-        smin = int(w.p1[0] + w.p2[0] + w.values.min())
-        smax = int(w.p1[-1] + w.p2[-1] + w.values.max())
-        N = w.inst.N
-        return float(max(abs(smin - N), abs(smax - N), 1))
+        top = 1.0
+        if not windows.empty:
+            smin = int(windows.p1[0] + windows.p2[0] + windows.values.min())
+            smax = int(windows.p1[-1] + windows.p2[-1] + windows.values.max())
+            top = float(max(abs(smin - inst.N), abs(smax - inst.N), 1))
+        self.band = (top, float(len(windows.p1) * len(windows.p2) * len(windows.values)))
 
     def _chunk(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Real and imaginary parts of the integrand at a chunk of alphas."""
@@ -120,13 +121,18 @@ class ModelIntegrand:
 
     The approximants are centred at mu_k*N and the centres sum to N, so their
     phases cancel e(-alpha*N) exactly: what is left is the real, even envelope
-    (2H)^2 * H3 * sinc(2 pi alpha H)^3 / (ln(mu1 N) ln(mu2 N)).
+    amp * sinc(2 pi alpha H)^3, amp = (2H)^2 * H3 / (ln(mu1 N) ln(mu2 N)).
+
+    band = (top, sup) gives |f(z)| <= sup * e^(2 pi top |Im z|) for the band
+    rule.  sinc w is the integral of cos(t w) over [0, 1], so
+    |sinc w| <= e^|Im w|: sup = amp, the value at 0, and top = 3H (3 at H = 0).
     """
 
     def __init__(self, inst: ProblemInstance, dp: DerivedParams):
         self.H = inst.H
         log1, log2 = log_centres(inst)
         self.amp = (2.0 * inst.H) ** 2 * dp.h3 / (log1 * log2)
+        self.band = (3.0 * max(inst.H, 1), self.amp)
 
     def integral(self, a: float, b: float) -> float:
         """The integral over [a, b], 0 < a <= b, in closed form (H > 0).
@@ -197,11 +203,7 @@ def exact_convolution_count(
     span = lead + nb + 8 * words
     rows = min(len(w.values), max(1, _GATHER_BYTES // (8 * words)))
     need = 8 * words + 8 * span + nb + 2 + 9 * rows * words
-    if need > 8 * mem_entries:
-        raise MemoryBudgetExceeded(
-            f"convolution of spans {n1} and {n2} needs {need} bytes, "
-            f"exceeds budget {mem_entries} entries of 8 bytes"
-        )
+    _check_budget(need, mem_entries, f"convolution of spans {n1} and {n2}")
     t = w.inst.N - w.values
     off = (hi2 + lo1) - t
     keep = (off > -n1) & (off < n2)
@@ -351,14 +353,8 @@ def integrate_arcs(
     frequency its proven bound allows (24 at order 64, 134 at order 256),
     the row that needs the fewest evaluations there, so a short major arc
     keeps a low order and a long minor arc takes a high one.
-    adaptive_complex takes the panels by its band rule: both integrands are
-    band-limited with a known sup.  The exact integrand is a sum of
-    e(k alpha) with non-negative coefficients and |k| <= max_frequency(),
-    so its modulus off the real line is at most its value at 0,
-    |P1| |P2| |V|, times e^(2 pi max_frequency() |Im alpha|).  The model
-    integrand is amp sinc^3(2 pi H alpha), and sinc w = integral of
-    cos(t w) over [0, 1] gives |sinc w| <= e^|Im w|, so its sup is amp with
-    top frequency 3H.
+    adaptive_complex takes the panels by its band rule, with the band that
+    each integrand class states and proves.
     Each arc's rule-error bound must fit tol * max(sup, 1) * (its width).
     In model mode the minor arc is the closed form ModelIntegrand.integral,
     so achieved_error and n_evals count the major arc only.  achieved_error
@@ -383,17 +379,14 @@ def integrate_arcs(
     if mode == "exact":
         windows = build_windows(inst)
         integrand = ExactIntegrand(windows)
-        fmax = integrand.max_frequency()
-        peak = abs(complex(integrand(np.array([0.0]))[0]))
         exact_total = exact_convolution_count(windows, mem_entries=mem_entries)
     elif mode == "model":
         integrand = ModelIntegrand(inst, dp)
-        fmax = 3.0 * max(inst.H, 1)
-        peak = integrand.amp  # its value at 0, where sinc^3 peaks
         exact_total = fast_count(inst, mem_entries=mem_entries).total
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
+    fmax, peak = integrand.band
     scale = max(peak, 1.0)
     k = min(kappa, 0.5)
 
@@ -401,7 +394,7 @@ def integrate_arcs(
         order, edges = band_layout(a, b, fmax)
         return adaptive_complex(
             integrand, edges, abs_tol=tol * scale * (b - a), order=order,
-            band=(fmax, peak),
+            band=integrand.band,
         )
 
     I_half, e_major, n_major = run(0.0, k)

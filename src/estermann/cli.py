@@ -59,7 +59,7 @@ class RunConfig:
 
     @property
     def mem_entries(self) -> int:
-        """--mem-mb in 8-byte entries, the widest the budgeted arrays hold."""
+        """--mem-mb in 8-byte entries; the counters charge their arrays' bytes to it."""
         return self.mem_mb * (1 << 20) // 8
 
 
@@ -146,6 +146,15 @@ def _alpha_grid(text: str) -> str:
             "expected start:stop:count (two finite numbers and a count of at least 1), "
             f"got {text!r}"
         )
+    return text
+
+
+def _n_list(text: str) -> str:
+    """argparse type for --N-list: checks comma-separated integers, returns the text."""
+    try:
+        list(map(int, text.split(",")))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
     return text
 
 
@@ -301,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = add_command("sweep", "ratio exact/main-term over an N grid",
                           "--c", "--mu", "--tol", "--mem-mb", "--out")
-    p_sweep.add_argument("--N-list", dest="N_list", type=str, required=True)
+    p_sweep.add_argument("--N-list", dest="N_list", type=_n_list, required=True)
     p_sweep.add_argument("--H-exponent", dest="H_exponent", type=_finite_float)
 
     return parser

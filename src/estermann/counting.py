@@ -96,6 +96,14 @@ class Windows:
         return len(self.p1) == 0 or len(self.p2) == 0 or len(self.values) == 0
 
 
+def _check_budget(nbytes: int, mem_entries: int, what: str) -> None:
+    """Raise MemoryBudgetExceeded when nbytes exceed mem_entries 8-byte entries."""
+    if nbytes > 8 * mem_entries:
+        raise MemoryBudgetExceeded(
+            f"{what} needs {nbytes} bytes, exceeds budget {8 * mem_entries} bytes"
+        )
+
+
 def build_windows(inst: ProblemInstance) -> Windows:
     """Sieve windows 1 and 2, then invert the floor range of window 3."""
     p1 = window_primes(inst, 1)
@@ -153,13 +161,13 @@ def fast_count(
     sorted window-1 primes, whose ends come from searchsorted.  Window 2's
     primes are flagged in reverse, rev[hi2 - p2] = True, so the partner of p
     sits at rev[p + hi2 - t] and r(v) is the number of flags that the slice,
-    shifted by hi2 - t, gathers.  The flag array has one entry per integer of
-    window 2, checked against mem_entries before anything is sieved.
+    shifted by hi2 - t, gathers.  The flag array takes one byte per integer
+    of window 2, charged against mem_entries 8-byte entries before anything
+    is sieved.
     """
     lo2, hi2 = inst.window(2)
     span = max(hi2 - lo2 + 1, 0)
-    if span > mem_entries:
-        raise MemoryBudgetExceeded(f"window span {span} exceeds budget {mem_entries}")
+    _check_budget(span, mem_entries, f"fast count of window span {span}")
     w = build_windows(inst)
     p1, n_range, values = w.p1, w.n_range, w.values
     if w.empty:

@@ -58,6 +58,9 @@ _BAND_RULES = ((64, 24), (96, 41), (128, 59), (192, 96), (256, 134))
 # Larger levels are evaluated in consecutive slices of whole panels, so the
 # node and value arrays stay bounded whatever the panel count.
 _LEVEL_NODES = 1 << 17
+# adaptive_complex's bisection depth and evaluation limits (see its docstring)
+_MAX_DEPTH = 16
+_EVAL_BUDGET = 50_000_000
 
 _leggauss_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -163,8 +166,6 @@ def adaptive_complex(
     abs_tol: float,
     *,
     order: int = _PANEL_ORDER,
-    max_depth: int = 16,
-    eval_budget: int = 50_000_000,
     band: Optional[tuple[float, float]] = None,
 ) -> tuple[complex, float, int]:
     """Integrate f over the partition given by edges.
@@ -188,9 +189,9 @@ def adaptive_complex(
     estimates, and each refinement level costs 3 * order evaluations per
     pending panel.
 
-    A panel at max_depth is accepted whatever its error.  Raises
+    A panel at _MAX_DEPTH is accepted whatever its error.  Raises
     ToleranceNotMet when the error exceeds abs_tol, or when the panels still
-    pending need more evaluations than eval_budget has left; on the band
+    pending need more evaluations than _EVAL_BUDGET has left; on the band
     path either is raised before the integrand is called.
     """
     edges = np.asarray(edges, dtype=np.float64)
@@ -207,9 +208,9 @@ def adaptive_complex(
     n_evals = 0
     depth = 0
     while a.size:
-        if n_evals + rules * order * a.size > eval_budget:
+        if n_evals + rules * order * a.size > _EVAL_BUDGET:
             raise ToleranceNotMet(
-                f"evaluation budget {eval_budget} exhausted", achieved=float("inf")
+                f"evaluation budget {_EVAL_BUDGET} exhausted", achieved=float("inf")
             )
         mid = 0.5 * (a + b)
         if band is None:
@@ -219,7 +220,7 @@ def adaptive_complex(
             err = np.abs(sums[:, 0] - halves)
         else:
             err = np.full(a.size, gauss_error_bound(float((b - a).max()), *band, order))
-        if depth >= max_depth:
+        if depth >= _MAX_DEPTH:
             ok = np.ones(a.size, dtype=bool)
         else:
             ok = err <= abs_tol * (b - a) / total_width
@@ -253,10 +254,6 @@ def adaptive_complex(
     return value, achieved, n_evals
 
 
-def uniform_edges(a: float, b: float, n_panels: int) -> np.ndarray:
-    return np.linspace(a, b, max(1, n_panels) + 1)
-
-
 def _panel_count(a: float, b: float, top_frequency: float, periods: float) -> int:
     if top_frequency <= 0:
         return 1
@@ -272,7 +269,7 @@ def panel_edges(
     default suits the whole-vs-halves estimate; band-rule callers use
     band_layout.
     """
-    return uniform_edges(a, b, _panel_count(a, b, top_frequency, periods))
+    return np.linspace(a, b, _panel_count(a, b, top_frequency, periods) + 1)
 
 
 def band_layout(a: float, b: float, top_frequency: float) -> tuple[int, np.ndarray]:

@@ -12,10 +12,9 @@ import math
 import numpy as np
 
 from .arith import integer_root
-from .errors import MemoryBudgetExceeded
 
-DEFAULT_SEGMENT_ENTRIES = 1 << 22
-MIN_SEGMENT_ENTRIES = 1 << 10
+# Longer ranges are sieved in segments of this many integers, one flag each.
+_SEGMENT_ENTRIES = 1 << 22
 
 _base_primes: np.ndarray = np.array([2, 3, 5, 7, 11, 13], dtype=np.int64)
 _base_limit: int = 13
@@ -57,20 +56,15 @@ def _sieve_flags(a: int, b: int) -> np.ndarray:
     return flags
 
 
-def _segments(a: int, b: int, segment_entries: int):
-    if segment_entries < MIN_SEGMENT_ENTRIES:
-        raise MemoryBudgetExceeded(
-            f"segment budget {segment_entries} entries is below the "
-            f"minimum {MIN_SEGMENT_ENTRIES}"
-        )
+def _segments(a: int, b: int):
     lo = a
     while lo <= b:
-        hi = min(lo + segment_entries - 1, b)
+        hi = min(lo + _SEGMENT_ENTRIES - 1, b)
         yield lo, hi
         lo = hi + 1
 
 
-def primes_in(a: int, b: int, *, segment_entries: int = DEFAULT_SEGMENT_ENTRIES) -> np.ndarray:
+def primes_in(a: int, b: int) -> np.ndarray:
     """Ascending primes in [a, b]; large requests are sieved in segments."""
     if not (1 <= a <= b):
         if a > b:
@@ -79,7 +73,7 @@ def primes_in(a: int, b: int, *, segment_entries: int = DEFAULT_SEGMENT_ENTRIES)
     # No copies of the prime array: flatnonzero already gives int64 on 64-bit
     # hosts, the offset is added in place, and one segment is returned as is.
     parts = []
-    for lo, hi in _segments(a, b, segment_entries):
+    for lo, hi in _segments(a, b):
         primes = np.flatnonzero(_sieve_flags(lo, hi)).astype(np.int64, copy=False)
         primes += lo
         parts.append(primes)
@@ -122,7 +116,7 @@ def lambda_segment(a: int, b: int) -> list[tuple[int, float]]:
     return [(n, math.log(p)) for n, _k, p in prime_power_triples(a, b)]
 
 
-def psi(x: int, *, segment_entries: int = DEFAULT_SEGMENT_ENTRIES) -> float:
+def psi(x: int) -> float:
     """Chebyshev psi(x) = sum of Lambda(n) for n <= x, compensated.
 
     Accumulated with math.fsum so the ~x/ln x terms of size ~ln x do not
@@ -133,7 +127,7 @@ def psi(x: int, *, segment_entries: int = DEFAULT_SEGMENT_ENTRIES) -> float:
     if x == 1:
         return 0.0
     parts = []
-    for lo, hi in _segments(2, x, segment_entries):
+    for lo, hi in _segments(2, x):
         flags = _sieve_flags(lo, hi)
         p = np.flatnonzero(flags).astype(np.int64) + lo
         parts.append(math.fsum(np.log(p.astype(np.float64))))

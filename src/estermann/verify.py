@@ -390,12 +390,12 @@ ALL_CHECKS: list[Callable[[bool], Check]] = [
 ]
 
 
-def run_verify(quick: bool = False, printer=print) -> bool:
+def run_verify(quick: bool = False) -> bool:
     """Run the property suite; prints one PASS/FAIL line per check."""
     all_ok = True
     for fn in ALL_CHECKS:
         name, ok, detail = fn(quick)
         all_ok &= ok
-        printer(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
-    printer(f"verify: {'all checks passed' if all_ok else 'FAILURES PRESENT'}")
+        print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
+    print(f"verify: {'all checks passed' if all_ok else 'FAILURES PRESENT'}")
     return all_ok

@@ -32,7 +32,6 @@ from estermann.quadrature import (
     _BAND_RULES,
     adaptive_complex,
     panel_edges,
-    uniform_edges,
 )
 from estermann.sieve import primes_in
 from estermann.verify import random_instances
@@ -211,6 +210,41 @@ def test_integrand_F_alpha0():
     assert zm.imag == pytest.approx(0.0, abs=1e-9 * want)
 
 
+@settings(max_examples=200, deadline=None)
+@given(_kernel_instances())
+@_examples(EDGE_INSTANCES)
+def test_integrand_band_sup_is_the_value_at_zero(inst):
+    # each integrand's stated sup is its modulus at alpha = 0 bit for bit,
+    # and the exact top frequency covers every attainable p1 + p2 + v - N
+    w = build_windows(inst)
+    f = ExactIntegrand(w)
+    top, sup = f.band
+    assert sup == abs(f(np.array([0.0]))[0])
+    if not w.empty:
+        pair_sums = np.add.outer(w.p1, w.p2)
+        extremes = (pair_sums.min() + w.values.min(), pair_sums.max() + w.values.max())
+        assert top >= max(abs(int(s) - inst.N) for s in extremes)
+    assert top >= 1.0
+    if min(inst.mu_N(1), inst.mu_N(2)) > 1:  # else the model has no logarithms
+        m = ModelIntegrand(inst, derive_params(inst))
+        assert m.band == (3.0 * max(inst.H, 1), m(np.array([0.0]))[0])
+
+
+@pytest.mark.parametrize("N, H, mode", [(3000, 300, "exact"), (10 ** 4, 0, "exact"),
+                                        (3000, 300, "model")])
+def test_arcs_evaluate_the_integrand_at_n_evals_nodes(monkeypatch, N, H, mode):
+    # the band comes from the integrand, not from an evaluation at alpha = 0:
+    # every node the integrand sees is one of the quadrature's n_evals
+    nodes = []
+    for cls in (ExactIntegrand, ModelIntegrand):
+        def counted(self, alphas, call=cls.__call__):
+            nodes.append(np.size(alphas))
+            return call(self, alphas)
+        monkeypatch.setattr(cls, "__call__", counted)
+    rep = integrate_arcs(build_instance(N, "3/2", THIRD, H), mode=mode, tol=1e-6)
+    assert sum(nodes) == rep.n_evals > 0
+
+
 def test_integrand_F_conjugate_symmetry():
     # the property integrate_arcs relies on to integrate [0, 1/2] only
     inst = build_instance(2000, "3/2", THIRD, 300)
@@ -271,16 +305,15 @@ def test_arcs_mirror_vs_negative_half_quadrature(N, c, mu, h_frac, mode):
     rep = integrate_arcs(inst, mode=mode, tol=tol)
     if mode == "exact":
         f = ExactIntegrand(build_windows(inst))
-        fmax = f.max_frequency()
     else:
         f = ModelIntegrand(inst, dp)
-        fmax = 3.0 * H
+    fmax = f.band[0]
     scale = max(abs(f(np.array([0.0]))[0]), 1.0)
     k = min(float(dp.kappa), 0.5)
     assert rep.arc_split == (k < 0.5)
 
     def direct(a, b):
-        edges = uniform_edges(a, b, math.ceil((b - a) * fmax / 2.0))
+        edges = np.linspace(a, b, math.ceil((b - a) * fmax / 2.0) + 1)
         return adaptive_complex(f, edges, tol * scale * (b - a), order=24)[0]
 
     assert abs(rep.I_major - direct(-k, k)) <= tol * scale * 2 * k
@@ -331,7 +364,7 @@ def test_exact_arcs_vs_direct_sum_referee(N, c, mu, H):
     abs_tol = 1e-10 * len(p1) * len(p2) * len(values)
 
     def arc(a, b):
-        edges = uniform_edges(a, b, max(1, math.ceil((b - a) * fmax)))
+        edges = np.linspace(a, b, max(1, math.ceil((b - a) * fmax)) + 1)
         return adaptive_complex(F, edges, abs_tol * (b - a), order=24)[0]
 
     # each side meets 1e-10 of the peak |P1||P2||V| times the arc length
@@ -375,7 +408,7 @@ def test_model_minor_arc_meets_tight_tol(inst):
     f = ModelIntegrand(inst, derive_params(inst))
     k = rep.kappa
     assert k < 0.5
-    edges = uniform_edges(k, 0.5, math.ceil((0.5 - k) * 3 * inst.H))
+    edges = np.linspace(k, 0.5, math.ceil((0.5 - k) * 3 * inst.H) + 1)
     want = adaptive_complex(f, edges, 1e-14 * f.amp * (0.5 - k), order=24)[0]
     assert abs(rep.I_minor_plus - want) <= tol * f.amp * (0.5 - k)
     assert rep.I_minor_plus.imag == 0.0
@@ -489,7 +522,7 @@ def test_arcs_band_rule_bound_and_evaluations(N, c, mu, H, mode):
     rep = integrate_arcs(inst, mode=mode, tol=tol)
     if mode == "exact":
         w = build_windows(inst)
-        fmax = ExactIntegrand(w).max_frequency()
+        fmax = ExactIntegrand(w).band[0]
         sup = len(w.p1) * len(w.p2) * len(w.values)
         arcs = [(0.0, min(rep.kappa, 0.5)), (min(rep.kappa, 0.5), 0.5)]
     else:
@@ -526,7 +559,7 @@ def test_exact_arc_agrees_across_band_rules():
     inst = build_instance(5284, "3/2", ("2/5", "1/5", "2/5"), 404)
     w = build_windows(inst)
     f = ExactIntegrand(w)
-    fmax, sup = f.max_frequency(), float(len(w.p1) * len(w.p2) * len(w.values))
+    fmax, sup = f.band
     a, b = derive_params(inst).kappa, 0.5
     results = [adaptive_complex(f, panel_edges(a, b, fmax, periods), 1e-6 * sup * (b - a),
                                 order=order, band=(fmax, sup))
@@ -598,7 +631,7 @@ def _sin3_over_u3(u: np.ndarray) -> np.ndarray:
 def test_sin3_closed_form_vs_quadrature(T):
     # the series branch (T < 1e-3) and the closed form, against panels of at
     # most one period of sin
-    edges = uniform_edges(0.0, T, max(4, math.ceil(T / math.pi)))
+    edges = np.linspace(0.0, T, max(4, math.ceil(T / math.pi)) + 1)
     f = lambda u: _sin3_over_u3(u).astype(complex)
     ref = adaptive_complex(f, edges, 1e-14 * min(T, 1.0), order=16)[0].real
     assert abs(sin3_integral(T) - ref) <= 1e-14 * min(T, 1.0)

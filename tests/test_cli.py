@@ -103,6 +103,14 @@ def test_malformed_alpha_grid_exit_2(grid, capsys):
     assert "argument --alpha-grid" in err and "start:stop:count" in err
 
 
+@pytest.mark.parametrize("n_list", ["1000,,2000", "1e4", "", "1000,"])
+def test_malformed_n_list_exit_2(n_list, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--N-list", n_list, "--c", "3/2", "--mu", "1/3,1/3,1/3"])
+    assert exc.value.code == 2
+    assert "argument --N-list: expected comma-separated integers" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "command,flag,value",
     [("arcs", "--tol", v) for v in ("nan", "inf", "0", "-1e-6")]
@@ -287,9 +295,10 @@ def test_expsum_prime_approx_small_centre_exit_2(N, mu, capsys):
 
 
 def test_mem_mb_counts_megabytes(capsys):
-    # window 2 spans 200000 entries: more than 1 MB of 8-byte entries (2^17)
-    # and fewer than 2^20, so 1 MB must not admit it and 2 MB must
-    args = ["count", "--N", "1000000", "--c", "3/2", "--mu", "1/3,1/3,1/3", "--H", "100000"]
+    # fast_count flags window 2 in one byte per integer: a span of 1200000
+    # bytes is more than 1 MB (2^20 bytes) and less than 2 MB, so 1 MB must
+    # not admit it and 2 MB must
+    args = ["count", "--N", "4000000", "--c", "5/2", "--mu", "1/3,1/3,1/3", "--H", "600000"]
     assert main([*args, "--mem-mb", "1"]) == 2
     assert "--mem-mb" in capsys.readouterr().err
     status, out = run_cli([*args, "--mem-mb", "2"], capsys)

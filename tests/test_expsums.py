@@ -26,7 +26,8 @@ from estermann.expsums import (
 )
 from estermann.cli import main
 from estermann.instance import build_instance, derive_params
-from estermann.quadrature import adaptive_complex, uniform_edges
+from estermann import quadrature
+from estermann.quadrature import adaptive_complex
 from estermann.sieve import lambda_segment, primes_in
 
 C32 = RationalExponent(3, 2)
@@ -302,15 +303,16 @@ def test_exp_integral_at_large_centre(M, w, alpha):
     assert abs(got - want) <= 1e-9 * w
 
 
-def test_tolerance_not_met_carries_achieved():
-    from estermann.quadrature import adaptive_complex, uniform_edges
-
+def test_tolerance_not_met_carries_achieved(monkeypatch):
     f = lambda x: np.exp(2j * np.pi * 50.0 * x)
-    with pytest.raises(ToleranceNotMet) as info:
-        adaptive_complex(f, uniform_edges(0.0, 1.0, 4), 1e-300, order=8, max_depth=3)
+    edges = np.linspace(0.0, 1.0, 5)
+    with monkeypatch.context() as patch, pytest.raises(ToleranceNotMet) as info:
+        patch.setattr(quadrature, "_MAX_DEPTH", 3)
+        adaptive_complex(f, edges, 1e-300, order=8)
     assert info.value.achieved > 0
+    monkeypatch.setattr(quadrature, "_EVAL_BUDGET", 50)
     with pytest.raises(ToleranceNotMet) as info2:
-        adaptive_complex(f, uniform_edges(0.0, 1.0, 4), 1e-300, order=8, eval_budget=50)
+        adaptive_complex(f, edges, 1e-300, order=8)
     assert info2.value.achieved == float("inf")
 
 
@@ -464,7 +466,7 @@ def test_approx_S_c_integral_at_large_centre():
     assert abs(approx_S_c(alpha, BIG_DP, BIG.c, "integral") - want) <= 1e-10 * h3
 
 
-def test_sc_integral_cli_at_large_alpha_h(capsys):
+def test_sc_integral_cli_at_large_alpha_h(capsys, monkeypatch):
     # alpha H = 4e5: on one-oscillation panels the 50M evaluation budget ran
     # out and the command exited 2.  The referee integrates the same
     # integral in u on one-period panels of an order-16 rule, about its exact
@@ -479,8 +481,9 @@ def test_sc_integral_cli_at_large_alpha_h(capsys):
 
     inv_c = 4 / 7
     f = lambda v: (centre + v) ** (inv_c - 1.0) * np.exp(2j * np.pi * alpha * v)
-    edges = uniform_edges(-H, H, round(2 * alpha * H))
-    integral = adaptive_complex(f, edges, 1e-12 * H, order=16, eval_budget=10 ** 8)[0]
+    edges = np.linspace(-H, H, round(2 * alpha * H) + 1)
+    monkeypatch.setattr(quadrature, "_EVAL_BUDGET", 10 ** 8)
+    integral = adaptive_complex(f, edges, 1e-12 * H, order=16)[0]
     num, den = alpha.as_integer_ratio()
     phase = (num * centre % den) / den - 0.5 * alpha
     want = math.sin(math.pi * alpha) / (math.pi * alpha) * inv_c * integral * cmath.exp(

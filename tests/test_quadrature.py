@@ -26,7 +26,6 @@ from estermann.quadrature import (
     gauss_error_bound,
     leggauss,
     panel_edges,
-    uniform_edges,
 )
 
 THIRD = ("1/3", "1/3", "1/3")
@@ -159,7 +158,7 @@ def test_adaptive_complex_matches_per_panel_algorithm():
     rng = random.Random(5)
     ks = [rng.randint(-300, 300) for _ in range(12)]
     f = lambda alpha: sum(np.exp(2j * np.pi * k * alpha) for k in ks) / (1.0 + alpha * alpha)
-    edges = list(uniform_edges(-0.5, 0.5, 3))
+    edges = list(np.linspace(-0.5, 0.5, 4))
     batched = adaptive_complex(f, edges, 1e-9, order=12)
     reference = per_panel_reference(f, edges, 1e-9, order=12)
     assert batched[2] == reference[2]
@@ -169,7 +168,7 @@ def test_adaptive_complex_matches_per_panel_algorithm():
 
 def test_adaptive_complex_slices_bit_identical(monkeypatch):
     f = lambda alpha: np.exp(2j * np.pi * 91 * alpha) * np.cos(7 * alpha)
-    edges = uniform_edges(-0.5, 0.5, 5)
+    edges = np.linspace(-0.5, 0.5, 6)
     one = adaptive_complex(f, edges, 1e-10, order=16)
     # levels cut into slices of 2 and 1 panels
     for nodes in (100, 1):
@@ -177,15 +176,16 @@ def test_adaptive_complex_slices_bit_identical(monkeypatch):
         assert adaptive_complex(f, edges, 1e-10, order=16) == one
 
 
-def test_adaptive_complex_budget_checked_before_evaluating():
+def test_adaptive_complex_budget_checked_before_evaluating(monkeypatch):
     calls = []
 
     def f(alpha):
         calls.append(len(alpha))
         return np.exp(2j * np.pi * 500 * alpha)
 
+    monkeypatch.setattr(quadrature, "_EVAL_BUDGET", 3 * 8 * 7)
     with pytest.raises(ToleranceNotMet):
-        adaptive_complex(f, [0.0, 1.0], 1e-12, order=8, eval_budget=3 * 8 * 7)
+        adaptive_complex(f, [0.0, 1.0], 1e-12, order=8)
     # levels of 1, 2 and 4 panels fit the budget of 7 panels; the fourth never runs
     assert calls == [24, 48, 96]
 
@@ -448,7 +448,7 @@ def test_band_layout_takes_the_fewest_evaluations(a, b, F, order):
     assert np.array_equal(edges, panel_edges(a, b, F, dict(_BAND_RULES)[got]))
 
 
-def test_band_path_absurd_tolerance_raises():
+def test_band_path_absurd_tolerance_raises(monkeypatch):
     f, F, sup, _ = band_cases()
     calls = []
 
@@ -459,12 +459,14 @@ def test_band_path_absurd_tolerance_raises():
     edges = panel_edges(0.0, 0.5, F)
     # no panel fits a zero tolerance: they split, unevaluated, until the
     # pending panels need more than the budget
-    with pytest.raises(ToleranceNotMet):
-        adaptive_complex(counted, edges, 0.0, band=(F, sup), eval_budget=10**6)
+    with monkeypatch.context() as patch, pytest.raises(ToleranceNotMet):
+        patch.setattr(quadrature, "_EVAL_BUDGET", 10**6)
+        adaptive_complex(counted, edges, 0.0, band=(F, sup))
     assert calls == []
-    # at max_depth the panels are accepted, and their bound exceeds 1e-300
+    # at _MAX_DEPTH the panels are accepted, and their bound exceeds 1e-300
+    monkeypatch.setattr(quadrature, "_MAX_DEPTH", 2)
     with pytest.raises(ToleranceNotMet):
-        adaptive_complex(counted, edges, 1e-300, band=(F, sup), max_depth=2)
+        adaptive_complex(counted, edges, 1e-300, band=(F, sup))
 
 
 # N from 5e3 to 1e9: alpha*v reaches 5e8 turns at the largest, while the

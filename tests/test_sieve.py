@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from estermann.errors import MemoryBudgetExceeded
+from estermann import sieve
 from estermann.sieve import (
     lambda_segment,
     pi_interval,
@@ -45,16 +45,11 @@ def test_segment_split_union():
         assert np.array_equal(joined, primes_in(a, c))
 
 
-def test_small_segment_budget_rejected():
-    with pytest.raises(MemoryBudgetExceeded):
-        primes_in(1, 10 ** 6, segment_entries=16)
-
-
-def test_forced_segmentation_consistent():
+def test_forced_segmentation_consistent(monkeypatch):
     a, b = 10 ** 6, 10 ** 6 + 40000
-    assert np.array_equal(
-        primes_in(a, b, segment_entries=2048), primes_in(a, b)
-    )
+    whole = primes_in(a, b)
+    monkeypatch.setattr(sieve, "_SEGMENT_ENTRIES", 2048)
+    assert np.array_equal(primes_in(a, b), whole)
 
 
 def test_pi_interval():
