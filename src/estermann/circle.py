@@ -128,11 +128,11 @@ class ModelIntegrand:
     |sinc w| <= e^|Im w|: sup = amp, the value at 0, and top = 3H (3 at H = 0).
     """
 
-    def __init__(self, inst: ProblemInstance, dp: DerivedParams):
-        self.H = inst.H
-        log1, log2 = log_centres(inst)
-        self.amp = (2.0 * inst.H) ** 2 * dp.h3 / (log1 * log2)
-        self.band = (3.0 * max(inst.H, 1), self.amp)
+    def __init__(self, dp: DerivedParams):
+        self.H = dp.H
+        log1, log2 = log_centres(dp.inst)
+        self.amp = (2.0 * dp.H) ** 2 * dp.h3 / (log1 * log2)
+        self.band = (3.0 * max(dp.H, 1), self.amp)
 
     def integral(self, a: float, b: float) -> float:
         """The integral over [a, b], 0 < a <= b, in closed form (H > 0).
@@ -309,15 +309,13 @@ _ARC_REPORT_KEYS = (
 )
 
 
-def model_major_value(inst: ProblemInstance, dp: Optional[DerivedParams] = None) -> float:
+def model_major_value(dp: DerivedParams) -> float:
     """Closed-form major-arc value 3*H*H3 / (2 ln(mu1 N) ln(mu2 N)).
 
     Raises ValueError unless mu_k N > 1 for k = 1, 2.
     """
-    log1, log2 = log_centres(inst)
-    if dp is None:
-        dp = derive_params(inst)
-    return 3.0 * inst.H * dp.h3 / (2.0 * log1 * log2)
+    log1, log2 = log_centres(dp.inst)
+    return 3.0 * dp.H * dp.h3 / (2.0 * log1 * log2)
 
 
 def main_term_value(inst: ProblemInstance) -> float:
@@ -333,13 +331,12 @@ def main_term_value(inst: ProblemInstance) -> float:
 
 
 def integrate_arcs(
-    inst: ProblemInstance,
+    inst: ProblemInstance | DerivedParams,
     mode: str = "exact",
     tol: float = 1e-6,
     *,
     threads: int = 1,  # read by nothing; perfbench's crosscheck passes threads=1
     mem_entries: int = DEFAULT_MEM_ENTRIES,
-    dp: Optional[DerivedParams] = None,
 ) -> ArcReport:
     """The integrals of F(alpha)e(-alpha N) over the major and two minor arcs.
 
@@ -366,14 +363,15 @@ def integrate_arcs(
     to the convolution count, whose agreement with Re(sum of the three
     integrals) is the additivity cross-check, and the one check that covers
     the integrand's rounding.  Model mode takes exact_total from
-    fast_count.  dp, when given, must be derive_params(inst).
+    fast_count.  Takes an instance, whose parameters it derives, or its
+    DerivedParams already derived by instance.derive_params.
     Raises ValueError unless mu_k N > 1 for k = 1, 2.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if dp is None:
-        dp = derive_params(inst)
-    model_major = model_major_value(inst, dp)  # checks mu_k N > 1 before any work
+    dp = inst if isinstance(inst, DerivedParams) else derive_params(inst)
+    inst = dp.inst
+    model_major = model_major_value(dp)  # checks mu_k N > 1 before any work
     kappa = dp.kappa
 
     if mode == "exact":
@@ -381,7 +379,7 @@ def integrate_arcs(
         integrand = ExactIntegrand(windows)
         exact_total = exact_convolution_count(windows, mem_entries=mem_entries)
     elif mode == "model":
-        integrand = ModelIntegrand(inst, dp)
+        integrand = ModelIntegrand(dp)
         exact_total = fast_count(inst, mem_entries=mem_entries).total
     else:
         raise ValueError(f"unknown mode {mode!r}")

@@ -119,17 +119,10 @@ def _cmd_count(cfg: RunConfig) -> int:
 
 
 def _cmd_arcs(cfg: RunConfig) -> int:
-    inst = _instance_from(cfg)
-    dp = derive_params(inst)
-    report = integrate_arcs(
-        inst,
-        mode=cfg.mode,
-        tol=cfg.tol,
-        mem_entries=cfg.mem_entries,
-        dp=dp,
-    )
+    dp = derive_params(_instance_from(cfg))
+    report = integrate_arcs(dp, mode=cfg.mode, tol=cfg.tol, mem_entries=cfg.mem_entries)
     doc = report.to_dict()
-    doc["hypotheses"] = hypothesis_report(inst, dp).to_dict()
+    doc["hypotheses"] = hypothesis_report(dp).to_dict()
     _emit(cfg, _with_config(cfg, doc))
     return 0
 
@@ -183,9 +176,9 @@ def _cmd_expsum(cfg: RunConfig) -> int:
         prim = primes_in(top1 - 2 * inst.H + 1, top1)
         f = lambda a: char_sum(a, prim)
     elif kind == "Sc_sinc":
-        f = lambda a: approx_S_c(a, dp, inst.c, form="sinc")
+        f = lambda a: approx_S_c(a, dp, "sinc")
     elif kind == "Sc_integral":
-        f = lambda a: approx_S_c(a, dp, inst.c, form="integral")
+        f = lambda a: approx_S_c(a, dp, "integral")
     elif kind == "S1_approx":
         f = lambda a: approx_S1(a, inst.mu_N(1) + inst.H, 2 * inst.H)
     else:  # prime_approx

@@ -121,16 +121,15 @@ def _breakdown(n_range, values, r_values) -> CountBreakdown:
     return CountBreakdown(total=sum(r for _, _, r in per_n), per_n=per_n, n_range=n_range)
 
 
-def brute_force_count(
-    inst: ProblemInstance, *, oracle_limit: int = ORACLE_LIMIT_DEFAULT
-) -> CountBreakdown:
+def brute_force_count(inst: ProblemInstance) -> CountBreakdown:
     """Oracle count by plain pair enumeration over both prime windows.
 
     Every p1, p2 comes from the sieve and passes the exact rational window
     test; every v comes from floor_pow.  Intentionally has no shortcuts.
+    Refuses N above ORACLE_LIMIT_DEFAULT, read at call time.
     """
-    if inst.N > oracle_limit:
-        raise OracleLimitExceeded(f"N={inst.N} exceeds oracle limit {oracle_limit}")
+    if inst.N > ORACLE_LIMIT_DEFAULT:
+        raise OracleLimitExceeded(f"N={inst.N} exceeds oracle limit {ORACLE_LIMIT_DEFAULT}")
     p1s = [p for p in window_primes(inst, 1).tolist() if inst.in_window(1, p)]
     p2s = np.array(
         [p for p in window_primes(inst, 2).tolist() if inst.in_window(2, p)], dtype=np.int64

@@ -18,7 +18,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .arith import RationalExponent
 from .instance import DerivedParams, log_centre
 from .quadrature import adaptive_complex, panel_edges
 
@@ -167,35 +166,36 @@ def _sinc_window(alpha: float, amp: float, half_width: float, centre: Fraction) 
     return amp * sinc(_TWO_PI * alpha * half_width) * cis(phase)
 
 
-def approx_S_c(
-    alpha: float,
-    dp: DerivedParams,
-    c: RationalExponent,
-    form: str = "sinc",
-) -> complex:
+def approx_S_c(alpha: float, dp: DerivedParams, form: str) -> complex:
     """Main-term approximants of S_c = char_sum over floor(n^c), N3 - H3 < n <= N3.
 
-    Valid for |alpha| <= 1/2.
+    Valid for |alpha| <= 1/2; c, mu3*N and H come from dp.inst.
 
     "integral": sinc(pi*alpha) * e(-alpha/2) * integral of e(alpha*t^c) dt
                 over (N3 - H3, N3], taken as (1/c) * integral of
                 u^(1/c - 1) e(alpha*u) du over mu3*N - H < u <= mu3*N + H.
+                The amplitude is singular at u = 0, so for alpha != 0 this
+                form needs mu3*N - H > 0.
     "sinc":     H3 * sinc(2*pi*alpha*H) * e(alpha*mu3*N).
-    Both reduce to H3 at alpha = 0.
+    Both reduce to H3 at alpha = 0.  Raises ValueError for any other form.
     """
+    if form not in ("sinc", "integral"):
+        raise ValueError(f"unknown form {form!r}")
     h3 = dp.h3
     if alpha == 0.0:
         return complex(h3)
     if form == "sinc":
         return _sinc_window(alpha, h3, dp.H, dp.mu3_N)
-    if form == "integral":
-        inv_c = c.q / c.p
-        # the tolerance is 1e-10 * H3 on the integral in t
-        integral = inv_c * exp_integral(
-            alpha, dp.mu3_N - dp.H, dp.mu3_N + dp.H, inv_c - 1.0, abs_tol=1e-10 * h3 / inv_c
-        )
-        return _sinc_window(alpha, 1.0, 0.5, Fraction(-1, 2)) * integral
-    raise ValueError(f"unknown form {form!r}")
+    lo = dp.mu3_N - dp.H
+    if lo <= 0:
+        raise ValueError(f"mu3*N - H must be > 0 for the integral form of S_c, got {lo}")
+    c = dp.inst.c
+    inv_c = c.q / c.p
+    # the tolerance is 1e-10 * H3 on the integral in t
+    integral = inv_c * exp_integral(
+        alpha, lo, dp.mu3_N + dp.H, inv_c - 1.0, abs_tol=1e-10 * h3 / inv_c
+    )
+    return _sinc_window(alpha, 1.0, 0.5, Fraction(-1, 2)) * integral
 
 
 def approx_S1(alpha: float, x: Fraction, y: Fraction) -> complex:

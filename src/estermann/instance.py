@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 from .arith import RationalExponent, integer_root, parse_rational
 from .errors import MuSumNotOne, WindowTooWide
@@ -96,7 +96,9 @@ class DerivedParams:
 
     n1 = mu1*N + H and n2 = mu2*N + H; n3 satisfies n3^c = mu3*N + H and
     h3 = n3 - (mu3*N - H)^(1/c), so n runs over (n3 - h3, n3]; and
-    kappa = (ln N)^2 / (2cH), infinite when H = 0.
+    kappa = (ln N)^2 / (2cH), infinite when H = 0.  The value carries the
+    instance it was derived from as inst, so a consumer of both takes the
+    DerivedParams alone and cannot be handed two that disagree.
     """
 
     inst: ProblemInstance
@@ -206,21 +208,19 @@ _C_LOWER_NOTE = (
 )
 
 
-def hypothesis_report(
-    inst: ProblemInstance, dp: Optional[DerivedParams] = None
-) -> HypothesisReport:
-    """Evaluate every named regime condition with both sides reported.
+def hypothesis_report(dp: DerivedParams) -> HypothesisReport:
+    """Evaluate every named regime condition of dp.inst, both sides reported.
 
-    Raises ValueError unless mu_k N > 1 for k = 1, 2.
+    Takes the DerivedParams alone, which carries its instance.  Raises
+    ValueError unless mu_k N > 1 for k = 1, 2.
     """
+    inst = dp.inst
     log_centres(inst)  # the logarithms below need N >= 3 and mu_k N > 1
     N, H, c = inst.N, inst.H, inst.c
     L = math.log(N)
     lnL = math.log(L)
     cf = float(c)
 
-    if dp is None:
-        dp = derive_params(inst)
     n3, h3 = dp.n3, dp.h3
     n_k_max = max(dp.n1, dp.n2)
 

@@ -100,9 +100,7 @@ def leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
 _BOUND_SAFETY = 1.0 + 2.0 ** -32
 
 
-def gauss_error_bound(
-    width: float, top_frequency: float, sup: float, order: int = _PANEL_ORDER
-) -> float:
+def gauss_error_bound(width: float, top_frequency: float, sup: float, order: int) -> float:
     """Proven error of the order-point Gauss-Legendre rule on a panel of width.
 
     For f with |f(z)| <= sup * e^(2 pi F |Im z|) on the complex plane, where

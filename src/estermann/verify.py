@@ -200,9 +200,9 @@ def check_sinc_limits(quick: bool) -> Check:
     inst = build_instance(10 ** 6, "3/2", ("1/3", "1/3", "1/3"), 10 ** 4)
     dp = derive_params(inst)
     h3 = dp.h3
-    z0 = approx_S_c(0.0, dp, inst.c, form="sinc")
-    zi = approx_S_c(0.0, dp, inst.c, form="integral")
-    first_zero = approx_S_c(1.0 / (2 * inst.H), dp, inst.c, form="sinc")
+    z0 = approx_S_c(0.0, dp, "sinc")
+    zi = approx_S_c(0.0, dp, "integral")
+    first_zero = approx_S_c(1.0 / (2 * inst.H), dp, "sinc")
     s1_zero = approx_S1(1.0 / 1000.0, 10 ** 6, 1000)
     p0 = approx_prime_sum(0.0, inst.H, inst.mu[0], inst.N)
     ok = (

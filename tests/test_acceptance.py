@@ -175,7 +175,7 @@ def test_criterion_5_floor_sum_closed_form():
     for alpha in np.linspace(-kappa, kappa, 21):
         d = abs(
             char_sum(float(alpha), values)
-            - approx_S_c(float(alpha), dp, inst.c, "sinc")
+            - approx_S_c(float(alpha), dp, "sinc")
         )
         worst = max(worst, d / h3)
     ok = worst <= 0.15 and abs(worst - GOLDEN_FLOOR_SUM_MAX_DEV) <= 0.01 * GOLDEN_FLOOR_SUM_MAX_DEV

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import estermann
-from estermann import circle
+from estermann import circle, counting
 from estermann.circle import (
     ExactIntegrand,
     ModelIntegrand,
@@ -165,7 +165,10 @@ def _examples(instances):
 @given(_kernel_instances())
 @_examples(EDGE_INSTANCES)
 def test_convolution_matches_brute_force(inst):
-    want = brute_force_count(inst, oracle_limit=10 ** 6).total
+    # the kernel strategy reaches N = 1e6, past the oracle's default limit
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(counting, "ORACLE_LIMIT_DEFAULT", 10 ** 6)
+        want = brute_force_count(inst).total
     assert exact_convolution_count(inst) == want
 
 
@@ -200,7 +203,7 @@ def test_integrand_F_alpha0():
     assert z == pytest.approx(complex(c1 * c2 * len(values)), rel=1e-12)
 
     dp = derive_params(inst)
-    zm = ModelIntegrand(inst, dp)(np.array([0.0]))[0]
+    zm = ModelIntegrand(dp)(np.array([0.0]))[0]
     want = (
         (2 * inst.H) ** 2
         / (math.log(inst.mu_N(1)) * math.log(inst.mu_N(2)))
@@ -226,7 +229,7 @@ def test_integrand_band_sup_is_the_value_at_zero(inst):
         assert top >= max(abs(int(s) - inst.N) for s in extremes)
     assert top >= 1.0
     if min(inst.mu_N(1), inst.mu_N(2)) > 1:  # else the model has no logarithms
-        m = ModelIntegrand(inst, derive_params(inst))
+        m = ModelIntegrand(derive_params(inst))
         assert m.band == (3.0 * max(inst.H, 1), m(np.array([0.0]))[0])
 
 
@@ -248,7 +251,7 @@ def test_arcs_evaluate_the_integrand_at_n_evals_nodes(monkeypatch, N, H, mode):
 def test_integrand_F_conjugate_symmetry():
     # the property integrate_arcs relies on to integrate [0, 1/2] only
     inst = build_instance(2000, "3/2", THIRD, 300)
-    for f in (ExactIntegrand(build_windows(inst)), ModelIntegrand(inst, derive_params(inst))):
+    for f in (ExactIntegrand(build_windows(inst)), ModelIntegrand(derive_params(inst))):
         for alpha in (0.0123, 0.2, 0.45):
             plus = f(np.array([alpha]))[0]
             minus = f(np.array([-alpha]))[0]
@@ -306,7 +309,7 @@ def test_arcs_mirror_vs_negative_half_quadrature(N, c, mu, h_frac, mode):
     if mode == "exact":
         f = ExactIntegrand(build_windows(inst))
     else:
-        f = ModelIntegrand(inst, dp)
+        f = ModelIntegrand(dp)
     fmax = f.band[0]
     scale = max(abs(f(np.array([0.0]))[0]), 1.0)
     k = min(float(dp.kappa), 0.5)
@@ -405,7 +408,7 @@ def test_model_minor_arc_meets_tight_tol(inst):
     # the closed form against one-period panels of an order-24 rule
     tol = 1e-10
     rep = integrate_arcs(inst, mode="model", tol=tol)
-    f = ModelIntegrand(inst, derive_params(inst))
+    f = ModelIntegrand(derive_params(inst))
     k = rep.kappa
     assert k < 0.5
     edges = np.linspace(k, 0.5, math.ceil((0.5 - k) * 3 * inst.H) + 1)
@@ -419,13 +422,13 @@ def test_model_integrand_is_the_product_of_the_approximants():
     # approximant of S_c, times e(-alpha N) reduced exactly
     for inst in _crosscheck_style_instances(8, seed=37):
         dp = derive_params(inst)
-        f = ModelIntegrand(inst, dp)
+        f = ModelIntegrand(dp)
         N, H = inst.N, inst.H
         for alpha in (0.0, dp.kappa / 3, dp.kappa, 0.1, 0.37, 0.5):
             product = (
                 approx_prime_sum(alpha, H, inst.mu[0], N)
                 * approx_prime_sum(alpha, H, inst.mu[1], N)
-                * approx_S_c(alpha, dp, inst.c, "sinc")
+                * approx_S_c(alpha, dp, "sinc")
                 * cis(PhaseReducer(alpha).frac_fraction(Fraction(-N)))
             )
             assert abs(f(np.array([alpha]))[0] - product) <= 1e-13 * f.amp, (inst, alpha)
@@ -467,7 +470,7 @@ def test_main_term_vs_model_major_consistency():
     substituted = 3 * inst.H * h3_lead / (2 * L * L)
     mt = main_term_value(inst)
     assert substituted == pytest.approx(mt, rel=1e-6)
-    rel_gap = abs(model_major_value(inst, dp) - mt) / mt
+    rel_gap = abs(model_major_value(dp) - mt) / mt
     assert rel_gap <= 5.0 / L
 
 
@@ -527,7 +530,7 @@ def test_arcs_band_rule_bound_and_evaluations(N, c, mu, H, mode):
         arcs = [(0.0, min(rep.kappa, 0.5)), (min(rep.kappa, 0.5), 0.5)]
     else:
         fmax = 3.0 * H
-        sup = ModelIntegrand(inst, derive_params(inst)).amp
+        sup = ModelIntegrand(derive_params(inst)).amp
         arcs = [(0.0, rep.kappa)]
     fewest = [min(order * (len(panel_edges(a, b, fmax, periods)) - 1)
                   for order, periods in _BAND_RULES) for a, b in arcs if b > a]
@@ -608,6 +611,19 @@ def test_arcs_reach_the_benchmark_layers(monkeypatch):
     # value at 0, not an evaluation there
     assert calls["adaptive_complex"] == 3 and calls["ModelIntegrand"] == 1
     assert calls["fast_count"] == 1 and calls["exact_convolution_count"] == 1
+
+
+@pytest.mark.parametrize("mode", ["exact", "model"])
+def test_integrate_arcs_takes_derived_params_without_deriving(mode, monkeypatch):
+    # handed its DerivedParams, integrate_arcs derives nothing and reports
+    # what it reports for the instance
+    inst = build_instance(3000, "3/2", THIRD, 300)
+    dp = derive_params(inst)
+    want = integrate_arcs(inst, mode=mode, tol=1e-6)
+    calls = []
+    monkeypatch.setattr(circle, "derive_params", lambda inst: calls.append(inst))
+    assert integrate_arcs(dp, mode=mode, tol=1e-6) == want
+    assert calls == []
 
 
 # ---------------------------------------------------------------- J(H)

@@ -5,10 +5,10 @@ import sys
 
 import pytest
 
-from estermann import circle, cli, instance
+from estermann import cli, counting, instance
 from estermann.cli import RunConfig, main
 from estermann.counting import DEFAULT_MEM_ENTRIES
-from estermann.instance import build_instance, hypothesis_report
+from estermann.instance import build_instance, derive_params, hypothesis_report
 
 
 def run_cli(args, capsys):
@@ -173,21 +173,56 @@ def test_arcs_json_keys(mode, capsys):
 
 
 def test_arcs_derives_params_once(capsys, monkeypatch):
-    calls = []
-    original = instance.derive_params
-
-    def counting(inst):
-        calls.append(inst)
-        return original(inst)
-
-    for module in (instance, circle, cli):
-        monkeypatch.setattr(module, "derive_params", counting)
+    calls = count_calls(monkeypatch, instance, "derive_params")
     status, out = run_cli(
         ["arcs", "--N", "500", "--c", "3/2", "--mu", "1/3,1/3,1/3", "--H", "100"], capsys
     )
     assert status == 0 and len(calls) == 1
-    inst = build_instance(500, "3/2", ("1/3", "1/3", "1/3"), 100)
-    assert json.loads(out)["hypotheses"] == hypothesis_report(inst).to_dict()
+    dp = derive_params(build_instance(500, "3/2", ("1/3", "1/3", "1/3"), 100))
+    assert json.loads(out)["hypotheses"] == hypothesis_report(dp).to_dict()
+
+
+def count_calls(monkeypatch, home, name):
+    """Route every estermann module's binding of home.name through a counter."""
+    original = getattr(home, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "estermann" and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+_INSTANCE_FLAGS = ["--N", "3000", "--c", "3/2", "--mu", "1/3,1/3,1/3", "--H", "300"]
+
+
+@pytest.mark.parametrize("argv, derived, built", [
+    (["arcs", *_INSTANCE_FLAGS, "--mode", "exact"], 1, 1),
+    (["arcs", *_INSTANCE_FLAGS, "--mode", "model"], 1, 1),
+    (["expsum", *_INSTANCE_FLAGS, "--kind", "Sc_integral", "--alpha-grid", "0:0.5:3"], 1, 0),
+    (["sweep", "--c", "3/2", "--mu", "1/3,1/3,1/3", "--N-list", "1000,2000,5000"], 3, 3),
+], ids=["arcs-exact", "arcs-model", "expsum", "sweep"])
+def test_commands_derive_and_sieve_once_per_instance(argv, derived, built, capsys, monkeypatch):
+    # each instance's parameters are derived once and its windows built once
+    derive_calls = count_calls(monkeypatch, instance, "derive_params")
+    window_calls = count_calls(monkeypatch, counting, "build_windows")
+    status, _ = run_cli(argv, capsys)
+    assert status == 0
+    assert (len(derive_calls), len(window_calls)) == (derived, built)
+
+
+def test_sc_integral_window_at_zero_exit_2(capsys):
+    # H = mu3*N is a valid instance, but the integral form's amplitude
+    # u^(1/c - 1) is singular at its lower end u = mu3*N - H = 0
+    status = main(["expsum", "--N", "99", "--c", "3/2", "--mu", "1/3,1/3,1/3", "--H", "33",
+                   "--kind", "Sc_integral", "--alpha-grid", "0.1:0.5:2"])
+    captured = capsys.readouterr()
+    assert status == 2 and captured.out == ""
+    assert captured.err == "error: mu3*N - H must be > 0 for the integral form of S_c, got 0\n"
 
 
 def test_consecutive_calls_match_fresh_processes(capsys):

@@ -332,7 +332,7 @@ def test_exp_integral_splits_no_panel_at_large_alpha_width(monkeypatch):
 
     monkeypatch.setattr(expsums, "adaptive_complex", counted)
     inst = build_instance(3 * 10 ** 10, "7/4", ("1/3", "1/3", "1/3"), 1_500_000)
-    approx_S_c(0.5, derive_params(inst), inst.c, "integral")
+    approx_S_c(0.5, derive_params(inst), "integral")
     assert calls == [(150_000, 96 * 150_000)]
 
 
@@ -344,27 +344,38 @@ DESK_DP = derive_params(DESK)
 
 def test_approx_S_c_alpha0_both_forms():
     h3 = float(DESK_DP.h3)
-    assert approx_S_c(0.0, DESK_DP, DESK.c, "sinc") == complex(h3)
-    assert approx_S_c(0.0, DESK_DP, DESK.c, "integral") == complex(h3)
+    assert approx_S_c(0.0, DESK_DP, "sinc") == complex(h3)
+    assert approx_S_c(0.0, DESK_DP, "integral") == complex(h3)
 
 
 def test_approx_S_c_first_sinc_zero():
     h3 = float(DESK_DP.h3)
-    z = approx_S_c(1.0 / (2 * DESK.H), DESK_DP, DESK.c, "sinc")
+    z = approx_S_c(1.0 / (2 * DESK.H), DESK_DP, "sinc")
     assert abs(z.real) <= 1e-12 * h3
     assert abs(z) <= 1e-12 * h3
 
 
 def test_approx_S_c_integral_vs_sinc_form():
     alpha = float(DESK_DP.kappa) / 2
-    a = approx_S_c(alpha, DESK_DP, DESK.c, "integral")
-    b = approx_S_c(alpha, DESK_DP, DESK.c, "sinc")
+    a = approx_S_c(alpha, DESK_DP, "integral")
+    b = approx_S_c(alpha, DESK_DP, "sinc")
     assert abs(a - b) <= 0.05 * float(DESK_DP.h3)
 
 
 def test_approx_S_c_unknown_form():
-    with pytest.raises(ValueError):
-        approx_S_c(0.1, DESK_DP, DESK.c, "nope")
+    # checked before the alpha = 0 shortcut, which would return H3
+    for alpha in (0.0, 0.1):
+        with pytest.raises(ValueError, match="unknown form 'nope'"):
+            approx_S_c(alpha, DESK_DP, "nope")
+
+
+def test_approx_S_c_integral_needs_a_window_above_zero():
+    # H = mu3*N is a valid instance; the integral form refuses it for
+    # alpha != 0, before exp_integral, and still gives H3 at alpha = 0
+    dp = derive_params(build_instance(99, "3/2", ("1/3", "1/3", "1/3"), 33))
+    assert approx_S_c(0.0, dp, "integral") == complex(dp.h3)
+    with pytest.raises(ValueError, match=r"mu3\*N - H must be > 0"):
+        approx_S_c(0.1, dp, "integral")
 
 
 def test_approx_S1_limits_and_zero():
@@ -424,7 +435,7 @@ def test_eval_S_c_matches_sinc_on_major_arc():
     for alpha in np.linspace(-kappa, kappa, 21):
         d = abs(
             char_sum(float(alpha), values)
-            - approx_S_c(float(alpha), DESK_DP, DESK.c, "sinc")
+            - approx_S_c(float(alpha), DESK_DP, "sinc")
         )
         worst = max(worst, d / h3)
     assert worst <= 0.15
@@ -463,7 +474,7 @@ def test_approx_S_c_integral_at_large_centre():
         want = complex(mp.sinc(mp.pi * al) * mp.expjpi(-al) * integral)
     h3 = float(BIG_DP.h3)
     assert abs(want) >= 5e-4 * h3  # H3/(2 pi alpha H) is 8e-4 * H3
-    assert abs(approx_S_c(alpha, BIG_DP, BIG.c, "integral") - want) <= 1e-10 * h3
+    assert abs(approx_S_c(alpha, BIG_DP, "integral") - want) <= 1e-10 * h3
 
 
 def test_sc_integral_cli_at_large_alpha_h(capsys, monkeypatch):

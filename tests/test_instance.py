@@ -147,7 +147,7 @@ def test_h3_leading_order_bound():
 
 def test_hypothesis_report_keys_and_values():
     inst = build_instance(10 ** 6, "3/2", THIRD, 10 ** 4)
-    rep = hypothesis_report(inst)
+    rep = hypothesis_report(derive_params(inst))
     assert set(rep.conditions) == {
         "cond_c_fractional",
         "cond_c_lower",
@@ -170,15 +170,16 @@ def test_cond_H_by_construction_and_monotone():
     L = math.log(N_big)
     H0 = math.ceil(N_big ** (1 - 1 / 3.0) * L * L)
     inst = build_instance(N_big, "3/2", THIRD, H0)
-    assert hypothesis_report(inst).conditions["cond_H"].holds
+    assert hypothesis_report(derive_params(inst)).conditions["cond_H"].holds
     N = 10 ** 6
     # monotone in H: once it holds it keeps holding
     rng = random.Random(5)
     for _ in range(20):
         H = rng.randint(1, N // 4)
-        holds = hypothesis_report(build_instance(N, "3/2", THIRD, H)).conditions["cond_H"].holds
-        holds_next = (
-            hypothesis_report(build_instance(N, "3/2", THIRD, H + 1)).conditions["cond_H"].holds
+        holds, holds_next = (
+            hypothesis_report(derive_params(build_instance(N, "3/2", THIRD, h)))
+            .conditions["cond_H"].holds
+            for h in (H, H + 1)
         )
         assert holds_next or not holds
 

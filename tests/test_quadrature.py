@@ -303,7 +303,7 @@ def test_gauss_error_bound_is_sharp_for_the_top_frequency():
     for periods in (10.0, 12.0):
         width = periods / F
         err = trig_rule_error({F: 1.0}, 0.0, width, rule)
-        bound = gauss_error_bound(width, F, 1.0)
+        bound = gauss_error_bound(width, F, 1.0, _PANEL_ORDER)
         assert err <= bound <= 30 * err
         rhos = np.linspace(1.001, 20.0, 200_001)
         best = np.min(width / 2 * 64 / 15 * np.exp(np.pi * periods * (rhos - 1 / rhos) / 2)
@@ -313,19 +313,19 @@ def test_gauss_error_bound_is_sharp_for_the_top_frequency():
 
 def test_gauss_error_bound_edges():
     # per unit of sup * width at order 32: 2.5e-31 at 5 periods, 2.4e-13 at 10
-    assert 2.4e-31 < gauss_error_bound(5.0, 1.0, 1.0) / 5.0 < 2.6e-31
-    assert 2.3e-13 < gauss_error_bound(10.0, 1.0, 1.0) / 10.0 < 2.5e-13
+    assert 2.4e-31 < gauss_error_bound(5.0, 1.0, 1.0, _PANEL_ORDER) / 5.0 < 2.6e-31
+    assert 2.3e-13 < gauss_error_bound(10.0, 1.0, 1.0, _PANEL_ORDER) / 10.0 < 2.5e-13
     # no rho beats the trivial bound past 2n/pi periods: inf, so the panel splits
-    assert gauss_error_bound(21.0, 1.0, 1.0) == math.inf
+    assert gauss_error_bound(21.0, 1.0, 1.0, _PANEL_ORDER) == math.inf
     # a bound that underflows stays positive, so a zero tolerance never fits,
     # and nothing overflows however narrow the panel
-    assert gauss_error_bound(1e-9, 1.0, 1e300) > 0.0
-    assert 0.0 < gauss_error_bound(1e-300, 1.0, 1.0) < 1e-300
+    assert gauss_error_bound(1e-9, 1.0, 1e300, _PANEL_ORDER) > 0.0
+    assert 0.0 < gauss_error_bound(1e-300, 1.0, 1.0, _PANEL_ORDER) < 1e-300
     # f = 0 is integrated exactly
-    assert gauss_error_bound(1.0, 1.0, 0.0) == 0.0
+    assert gauss_error_bound(1.0, 1.0, 0.0, _PANEL_ORDER) == 0.0
     # the bound grows with the width, so the widest half of a level bounds all
     widths = np.linspace(0.01, 20.0, 2001).tolist()
-    bounds = [gauss_error_bound(v, 1.0, 1.0) for v in widths]
+    bounds = [gauss_error_bound(v, 1.0, 1.0, _PANEL_ORDER) for v in widths]
     assert all(x < y for x, y in zip(bounds, bounds[1:]) if y < math.inf)
 
 
