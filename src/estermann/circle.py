@@ -22,7 +22,7 @@ import numpy as np
 
 from .counting import DEFAULT_MEM_ENTRIES, Windows, _check_budget, build_windows, fast_count
 from .instance import DerivedParams, ProblemInstance, derive_params, log_centres
-from .quadrature import adaptive_complex, band_layout
+from .quadrature import _BAND_TOL, adaptive_complex, band_layout
 
 
 class ExactIntegrand:
@@ -36,6 +36,15 @@ class ExactIntegrand:
     chunks of at most _CHUNK_ELEMENTS phases (one row per alpha, one column
     per window element), in three work buffers allocated once per integrand,
     so memory stays flat however many nodes arrive.
+
+    When the two prime windows coincide, that is, they have the same integer
+    interval (inst.window(1) == inst.window(2)) and the same base
+    (round(mu1*N) == round(mu2*N)), as they always do when mu1 = mu2, P2's
+    offsets are P1's, and its cosine and sine sums would be the same doubles.
+    So the offsets hold P1 and V only, and P1's sums are taken as the second
+    factor too: one tangent per node for each element of P1 and V, not of
+    P1, P2 and V.  The product multiplies the same doubles in the same order,
+    so every value is bit for bit the one the three sums give.
 
     No exact phase reduction is needed.  For |alpha| <= 1/2 the double product
     alpha*k is off by at most 2^-54 * (H + 1) turns.  Rounding the node alpha
@@ -58,6 +67,10 @@ class ExactIntegrand:
         b1, b2 = round(inst.mu_N(1)), round(inst.mu_N(2))
         bases = (b1, b2, inst.N - b1 - b2)
         sets = (windows.p1, windows.p2, windows.values)
+        # factor i of the product is the sum over the window at _factors[i]
+        self._factors = (0, 1, 2)
+        if b1 == b2 and inst.window(1) == inst.window(2):
+            bases, sets, self._factors = bases[::2], sets[::2], (0, 0, 1)
         self._offsets = np.concatenate(
             [np.asarray(w, dtype=np.int64) - b for w, b in zip(sets, bases)]
         ).astype(np.float64)
@@ -99,8 +112,9 @@ class ExactIntegrand:
             (cos[:, lo:hi].sum(axis=1), sin[:, lo:hi].sum(axis=1))
             for lo, hi in zip(self._bounds[:-1], self._bounds[1:])
         ]
-        re, im = sums[0]
-        for c, s in sums[1:]:
+        re, im = sums[self._factors[0]]
+        for i in self._factors[1:]:
+            c, s = sums[i]
             re, im = re * c - im * s, re * s + im * c
         return re, im
 
@@ -363,12 +377,22 @@ def integrate_arcs(
     to the convolution count, whose agreement with Re(sum of the three
     integrals) is the additivity cross-check, and the one check that covers
     the integrand's rounding.  Model mode takes exact_total from
-    fast_count.  Takes an instance, whose parameters it derives, or its
-    DerivedParams already derived by instance.derive_params.
-    Raises ValueError unless mu_k N > 1 for k = 1, 2.
+    fast_count.  In exact mode with mu1 = mu2 (more exactly, with equal
+    windows and bases for P1 and P2) the integrand sums the shared prime
+    window once per node and uses it for both factors, which changes no bit
+    of any value (see ExactIntegrand).  Takes an instance, whose parameters
+    it derives, or its DerivedParams already derived by
+    instance.derive_params.
+    Raises ValueError unless mu_k N > 1 for k = 1, 2, and unless
+    tol >= 2^-53: every _BAND_RULES row keeps its rule bound below that
+    fraction of sup * width, so a larger tol never splits a panel, and a
+    smaller one would refine below the rounding of the integrand's values.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol >= _BAND_TOL:
+        raise ValueError(
+            f"tol must be at least 2^-53 ({_BAND_TOL:.3g}), the double rounding "
+            f"the band rules are built against, got {tol:g}"
+        )
     dp = inst if isinstance(inst, DerivedParams) else derive_params(inst)
     inst = dp.inst
     model_major = model_major_value(dp)  # checks mu_k N > 1 before any work

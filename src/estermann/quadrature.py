@@ -47,13 +47,16 @@ _PERIODS_PER_PANEL = 10.0
 _PANEL_ORDER = 32
 # The band rule's rows, (order, panel periods): each row's panels span the
 # largest whole number of periods at which its rule's proven error
-# (gauss_error_bound) stays below 2^-53 of the sup times the width (at order
-# 64, 9.0e-18 at 24 periods against 5.9e-16 at 25).  So the band rule splits
-# no panel for any tolerance down to that.  Per period the rows cost 2.67,
-# 2.34, 2.17, 2.00 and 1.91 evaluations (the order-32 rule would need 4.0,
-# on 8-period panels); band_layout picks a row per interval, since a short
-# interval rounds up to whole panels, where a lower order wastes less.
+# (gauss_error_bound) stays below _BAND_TOL = 2^-53, double rounding, of the
+# sup times the width (at order 64, 9.0e-18 at 24 periods against 5.9e-16 at
+# 25).  So the band rule splits no panel for any tolerance down to that, and a
+# lower tolerance would refine below the rounding of the values it bounds.
+# Per period the rows cost 2.67, 2.34, 2.17, 2.00 and 1.91 evaluations (the
+# order-32 rule would need 4.0, on 8-period panels); band_layout picks a row
+# per interval, since a short interval rounds up to whole panels, where a
+# lower order wastes less.
 _BAND_RULES = ((64, 24), (96, 41), (128, 59), (192, 96), (256, 134))
+_BAND_TOL = 2.0 ** -53
 
 # Larger levels are evaluated in consecutive slices of whole panels, so the
 # node and value arrays stay bounded whatever the panel count.

@@ -183,15 +183,19 @@ def check_count_symmetry(quick: bool) -> Check:
 
 
 def check_orthogonality(quick: bool) -> Check:
-    cases = [(500, 100)] if quick else [(500, 100), (2000, 300), (4000, 500)]
-    for N, H in cases:
-        inst = build_instance(N, "3/2", ("1/3", "1/3", "1/3"), H)
+    # mu1 = mu2 sums the shared prime window once; mu1 != mu2 sums all three
+    third, apart = ("1/3", "1/3", "1/3"), ("2/5", "1/5", "2/5")
+    cases = [(500, third, 100), (1000, apart, 150)]
+    if not quick:
+        cases += [(2000, third, 300), (4000, third, 500)]
+    for N, mu, H in cases:
+        inst = build_instance(N, "3/2", mu, H)
         rep = integrate_arcs(inst, mode="exact", tol=1e-6)
         if rep.additivity_error >= 0.5:
             return (
                 "orthogonality",
                 False,
-                f"N={N} H={H}: arc sum off by {rep.additivity_error:.3g}",
+                f"N={N} mu={','.join(mu)} H={H}: arc sum off by {rep.additivity_error:.3g}",
             )
     return ("orthogonality", True, f"{len(cases)} exact-mode arc sums round to the count")
 

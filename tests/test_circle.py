@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -27,7 +28,7 @@ from estermann.arith import floor_pow
 from estermann.counting import brute_force_count, build_windows, fast_count, window_primes
 from estermann.errors import MemoryBudgetExceeded
 from estermann.expsums import PhaseReducer, approx_prime_sum, approx_S_c, char_sum, cis
-from estermann.instance import build_instance, derive_params
+from estermann.instance import ProblemInstance, build_instance, derive_params
 from estermann.quadrature import (
     _BAND_RULES,
     adaptive_complex,
@@ -141,12 +142,15 @@ EDGE_INSTANCES = [
 
 @st.composite
 def _kernel_instances(draw):
-    """N <= 3000, mu1 and mu2 drawn apart, and H at 0, at its top or anywhere."""
+    """N <= 3000, H at 0, at its top or anywhere, and mu2 = mu1 in about half
+    the draws (so ExactIntegrand sums one shared prime window), else drawn apart."""
     N = draw(st.integers(1, 3000))
     c = draw(st.sampled_from(("3/2", "5/3", "7/4", "5/2", "17/12")))
     d1, d2 = draw(st.integers(2, 9)), draw(st.integers(2, 9))
     mu1 = Fraction(draw(st.integers(1, d1 - 1)), 2 * d1)
     mu2 = Fraction(draw(st.integers(1, d2 - 1)), 2 * d2)
+    if draw(st.booleans()):
+        mu2 = mu1
     mu = (mu1, mu2, 1 - mu1 - mu2)
     top = math.floor(min(mu) * N)
     H = draw(st.sampled_from((0, top, min(top, 3))) | st.integers(0, top))
@@ -624,6 +628,61 @@ def test_integrate_arcs_takes_derived_params_without_deriving(mode, monkeypatch)
     monkeypatch.setattr(circle, "derive_params", lambda inst: calls.append(inst))
     assert integrate_arcs(dp, mode=mode, tol=1e-6) == want
     assert calls == []
+
+
+@pytest.mark.parametrize("mode", ["exact", "model"])
+def test_integrate_arcs_refuses_tol_below_double_rounding(mode, monkeypatch):
+    # every band rule keeps its bound below 2^-53 of sup * width, so tol = 2^-53
+    # splits no panel and costs what the default does; a smaller tol is refused
+    # before any window is built or any rule evaluated
+    inst = build_instance(3000, "3/2", THIRD, 300)
+    floor = integrate_arcs(inst, mode=mode, tol=2.0 ** -53)
+    assert dataclasses.replace(floor, tol=1e-6) == integrate_arcs(inst, mode=mode, tol=1e-6)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work done for a refused tol")
+
+    for name in ("build_windows", "fast_count", "adaptive_complex"):
+        monkeypatch.setattr(circle, name, no_work)
+    for tol in (math.nextafter(2.0 ** -53, 0.0), 1e-300, 0.0, -1e-6, math.nan):
+        with pytest.raises(ValueError, match=r"tol must be at least 2\^-53"):
+            integrate_arcs(inst, mode=mode, tol=tol)
+
+
+_SHARED_WINDOW_CASES = [
+    (build_instance(3000, "3/2", THIRD, 300), True),
+    (build_instance(2000, "5/3", ("1/4", "1/4", "1/2"), 250), True),
+    (build_instance(12, "3/2", ("1/4", "1/4", "1/2"), 3), True),  # windows [0, 6] reach 2
+    (build_instance(100, "3/2", THIRD, 0), True),  # H = 0: both prime windows empty
+    # the same window [61, 140] about mu1 N = 100.4 and mu2 N = 100.6, whose
+    # bases 100 and 101 differ, so the offsets differ too
+    (build_instance(500, "3/2", ("251/1250", "503/2500", "299/500"), 40), False),
+    # the same base 100 for mu1 N = 100 and mu2 N = 100.4, but windows [61, 139]
+    # and [62, 139]: the prime 61 is in P1 alone
+    (build_instance(500, "3/2", ("1/5", "251/1250", "749/1250"), 39), False),
+    (build_instance(3000, "3/2", ("2/5", "1/5", "2/5"), 300), False),
+]
+
+
+@pytest.mark.parametrize("inst, shared", _SHARED_WINDOW_CASES)
+def test_shared_prime_window_is_summed_once_bit_for_bit(inst, shared, monkeypatch):
+    w = build_windows(inst)
+    f = ExactIntegrand(w)
+    sizes = (len(w.p1), len(w.p2), len(w.values))
+    assert f._offsets.size == sum(sizes) - shared * sizes[1]
+    rng = np.random.default_rng(5)
+    alphas = np.concatenate([[0.0, 0.5, -0.5, 1e-9], rng.uniform(-0.5, 0.5, 700)])
+    got = f(alphas)
+    # the same windows with their equality hidden take the three-sum path
+    window = ProblemInstance.window
+    monkeypatch.setattr(ProblemInstance, "window", lambda self, k: (k, window(self, k)))
+    three = ExactIntegrand(w)
+    assert three._offsets.size == sum(sizes)
+    assert np.array_equal(got, three(alphas))
+    ref = [char_sum(a, w.p1) * char_sum(a, w.p2) * char_sum(a, w.values)
+           * cis(PhaseReducer(a).frac_fraction(Fraction(inst.N))).conjugate()
+           for a in alphas[:40].tolist()]
+    assert np.allclose(got[:40], ref, rtol=0, atol=1e-9 * max(math.prod(sizes), 1))
 
 
 # ---------------------------------------------------------------- J(H)

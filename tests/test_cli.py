@@ -126,6 +126,15 @@ def test_nonfinite_number_flag_exit_2(command, flag, value, capsys):
     assert f"argument {flag}: expected a " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["arcs", "sweep"])
+def test_tol_below_double_rounding_exit_2(command, capsys):
+    # positive, so the parser takes it, but below the 2^-53 that every band
+    # rule already meets: refining further would only chase rounding
+    assert main([*BASE_ARGS[command], "--tol", "1e-300"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: tol must be at least 2^-53")
+
+
 @pytest.mark.parametrize("n_list,exponent", [("10000", "1e300"), ("0", "-0.5")])
 def test_h_exponent_out_of_range_exit_2(n_list, exponent, capsys):
     # N^exponent overflows, or is 0 to a negative power: an error, not a traceback

@@ -472,6 +472,12 @@ def test_band_path_absurd_tolerance_raises(monkeypatch):
 # N from 5e3 to 1e9: alpha*v reaches 5e8 turns at the largest, while the
 # integrand's phases alpha*(v - b) stay within (H + 1)/2 turns at every N.
 INTEGRAND_CASES = [(5000, 400), (4_000_000, 1500), (10 ** 9, 3000)]
+# mu1 = mu2 sums the shared prime window once, mu1 != mu2 ("apart") all three
+INTEGRAND_MU_CASES = [
+    pytest.param(N, H, mu, id=f"{N}-{H}{suffix}")
+    for mu, suffix in ((THIRD, ""), (("2/5", "1/5", "2/5"), "-apart"))
+    for N, H in INTEGRAND_CASES
+]
 
 
 # Near a/q with small q the prime sums are large (about |P|/phi(q)), so the
@@ -505,9 +511,9 @@ def exact_phase_oracle(f: ExactIntegrand, alpha: float) -> complex:
     return value
 
 
-@pytest.mark.parametrize("N, H", INTEGRAND_CASES)
-def test_batched_integrand_matches_per_node_sums(N, H):
-    w = build_windows(build_instance(N, "3/2", THIRD, H))
+@pytest.mark.parametrize("N, H, mu", INTEGRAND_MU_CASES)
+def test_batched_integrand_matches_per_node_sums(N, H, mu):
+    w = build_windows(build_instance(N, "3/2", mu, H))
     f = ExactIntegrand(w)
     alphas = _alphas(700, N)  # several row chunks
     batched = f(alphas)
@@ -531,9 +537,9 @@ def test_batched_integrand_matches_per_node_sums(N, H):
     assert np.array_equal(pieces, batched)
 
 
-@pytest.mark.parametrize("N, H", INTEGRAND_CASES)
-def test_batched_integrand_matches_exact_phases(N, H):
-    w = build_windows(build_instance(N, "3/2", THIRD, H))
+@pytest.mark.parametrize("N, H, mu", INTEGRAND_MU_CASES)
+def test_batched_integrand_matches_exact_phases(N, H, mu):
+    w = build_windows(build_instance(N, "3/2", mu, H))
     f = ExactIntegrand(w)
     alphas = _alphas(16, N + 1)
     bound = centred_bound(H, (len(w.p1), len(w.p2), len(w.values)))
