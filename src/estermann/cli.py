@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -25,6 +25,7 @@ from .counting import brute_force_count, fast_count
 from .errors import EstermannError, MemoryBudgetExceeded
 from .expsums import approx_prime_sum, approx_S1, approx_S_c, char_sum, eval_S1
 from .instance import build_instance, derive_params, hypothesis_report
+from .quadrature import _BAND_TOL
 from .sieve import lambda_segment, primes_in
 
 EXPSUM_KINDS = ("Sc", "S1", "prime", "Sc_sinc", "Sc_integral", "S1_approx", "prime_approx")
@@ -74,15 +75,28 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _finite_float(text: str, *, positive: bool = False) -> float:
-    """argparse type for --H-exponent, and with positive=True for --tol."""
+def _finite_float(text: str) -> float:
+    """argparse type for --H-exponent."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
-    if not math.isfinite(value) or (positive and value <= 0):
-        kind = "a positive finite number" if positive else "a finite number"
-        raise argparse.ArgumentTypeError(f"expected {kind}, got {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _tol(text: str) -> float:
+    """argparse type for --tol: a finite number of at least _BAND_TOL (2^-53).
+
+    integrate_arcs refuses a smaller tol for library callers; the parser
+    refuses it first, so the flag has one rule, reported as the flag's error.
+    """
+    value = _finite_float(text)
+    if value < _BAND_TOL:
+        raise argparse.ArgumentTypeError(
+            f"expected a number of at least 2^-53 ({_BAND_TOL:.3g}), got {text!r}"
+        )
     return value
 
 
@@ -105,6 +119,24 @@ def _with_config(cfg: RunConfig, payload: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
+def _count_json(cfg: RunConfig, breakdown) -> str:
+    """_with_config's bytes for a count, with the per_n rows written here.
+
+    json.dumps with indent runs the pure-Python encoder, which is slow on
+    many rows.  The rows are integer triples, so they are formatted in its
+    layout and spliced into the dump of the rest of the document.  JSON
+    strings hold no raw newline, so a newline, two spaces and "per_n" can
+    only be the top-level key.
+    """
+    text = _with_config(cfg, replace(breakdown, per_n=()).to_dict())
+    if not breakdown.per_n:
+        return text
+    rows = ",\n".join(
+        f"    [\n      {n},\n      {v},\n      {r}\n    ]" for n, v, r in breakdown.per_n
+    )
+    return text.replace('\n  "per_n": []', f'\n  "per_n": [\n{rows}\n  ]', 1)
+
+
 def _cmd_count(cfg: RunConfig) -> int:
     inst = _instance_from(cfg)
     if cfg.method == "brute":
@@ -114,7 +146,7 @@ def _cmd_count(cfg: RunConfig) -> int:
     if cfg.format == "csv":
         _emit(cfg, breakdown.to_csv())
     else:
-        _emit(cfg, _with_config(cfg, breakdown.to_dict()))
+        _emit(cfg, _count_json(cfg, breakdown))
     return 0
 
 
@@ -255,7 +287,7 @@ _FLAGS = {
     "--c": dict(type=str, required=True, help="exponent as p/q, e.g. 3/2"),
     "--mu": dict(type=str, required=True, help="three rationals, e.g. 1/3,1/3,1/3"),
     "--H": dict(type=int, required=True, help="window half-width"),
-    "--tol": dict(type=functools.partial(_finite_float, positive=True)),
+    "--tol": dict(type=_tol),
     "--threads": dict(type=_positive_int),
     "--mem-mb": dict(dest="mem_mb", type=_positive_int,
                      help="memory budget for window arrays, in MB"),

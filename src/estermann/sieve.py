@@ -2,7 +2,10 @@
 
 Windows of width 2H near mu_k*N are the only intervals this package ever
 sieves, so the sieve works on [a, b] segments directly rather than from 2.
-Base primes up to sqrt(b) are cached process-wide and reused across segments.
+Base primes up to sqrt(b) are cached process-wide in one read-only table and
+reused across segments.  A window ending at or below _TABLE_LIMIT is a slice
+of that table, grown to cover it, so it costs two binary searches, not a
+pass over the base primes.
 """
 
 from __future__ import annotations
@@ -15,8 +18,13 @@ from .arith import integer_root
 
 # Longer ranges are sieved in segments of this many integers, one flag each.
 _SEGMENT_ENTRIES = 1 << 22
+# primes_in serves windows ending at or below this from the base-prime table;
+# with base_primes' doubling, primes_in alone never grows the table past 2^21
+# (155,611 primes, 1.2 MB).
+_TABLE_LIMIT = 1 << 20
 
 _base_primes: np.ndarray = np.array([2, 3, 5, 7, 11, 13], dtype=np.int64)
+_base_primes.flags.writeable = False
 _base_limit: int = 13
 
 
@@ -32,12 +40,17 @@ def _simple_sieve(limit: int) -> np.ndarray:
 
 
 def base_primes(limit: int) -> np.ndarray:
-    """All primes <= limit; grown once, then served from the cache."""
+    """All primes <= limit, a read-only view of the table; grown once, then cached.
+
+    The table is shared by every caller, so it is read-only: writing into a
+    view of it raises rather than corrupting every later window.
+    """
     global _base_primes, _base_limit
     if limit <= _base_limit:
         return _base_primes[: np.searchsorted(_base_primes, limit, side="right")]
-    _base_primes = _simple_sieve(max(limit, 2 * _base_limit))
     _base_limit = int(max(limit, 2 * _base_limit))
+    _base_primes = _simple_sieve(_base_limit)
+    _base_primes.flags.writeable = False
     return base_primes(limit)
 
 
@@ -65,11 +78,27 @@ def _segments(a: int, b: int):
 
 
 def primes_in(a: int, b: int) -> np.ndarray:
-    """Ascending primes in [a, b]; large requests are sieved in segments."""
+    """Ascending primes in [a, b].
+
+    Up to b = _TABLE_LIMIT the result is a read-only slice of the base-prime
+    table; above it, the segmented sieve's fresh array.
+    """
     if not (1 <= a <= b):
         if a > b:
             return np.array([], dtype=np.int64)
         raise ValueError("primes_in requires 1 <= a <= b")
+    if b <= _TABLE_LIMIT:
+        table = base_primes(b)
+        return table[np.searchsorted(table, a) :]
+    return segmented_primes(a, b)
+
+
+def segmented_primes(a: int, b: int) -> np.ndarray:
+    """Ascending primes in [a, b] (1 <= a <= b), sieved in segments.
+
+    primes_in takes this path above _TABLE_LIMIT; below it, tests and
+    verify's sieve_oracle check the table against it.
+    """
     # No copies of the prime array: flatnonzero already gives int64 on 64-bit
     # hosts, the offset is added in place, and one segment is returned as is.
     parts = []

@@ -41,7 +41,7 @@ from .instance import build_instance, derive_params
 from .quadrature import (
     _BAND_RULES, adaptive_complex, gauss_error_bound, leggauss, panel_edges,
 )
-from .sieve import lambda_segment, primes_in, psi
+from .sieve import lambda_segment, primes_in, psi, segmented_primes
 
 Check = tuple[str, bool, str]
 
@@ -145,7 +145,17 @@ def check_sieve_oracle(quick: bool) -> Check:
     joined = np.concatenate([primes_in(a, cpt), primes_in(cpt + 1, b)])
     if not np.array_equal(joined, primes_in(a, b)):
         return ("sieve_oracle", False, "segment split changed the prime set")
-    return ("sieve_oracle", True, f"trial division agrees below {limit}; splits merge")
+    # primes_in read everything above from the prime table; the segmented
+    # sieve, which serves larger windows, must agree with it
+    a, b = 10 ** 6, 10 ** 6 + (5000 if quick else 40000)
+    if not np.array_equal(segmented_primes(a, b), primes_in(a, b)):
+        return ("sieve_oracle", False, f"segmented sieve differs from the table on [{a}, {b}]")
+    return (
+        "sieve_oracle",
+        True,
+        f"trial division agrees below {limit}; splits merge; "
+        f"segmented sieve equals the table on [{a}, {b}]",
+    )
 
 
 def check_psi_identity(quick: bool) -> Check:

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,9 +8,10 @@ import sys
 import pytest
 
 from estermann import cli, counting, instance
-from estermann.cli import RunConfig, main
+from estermann.cli import RunConfig, build_parser, config_from_args, main
 from estermann.counting import DEFAULT_MEM_ENTRIES
 from estermann.instance import build_instance, derive_params, hypothesis_report
+from estermann.quadrature import _BAND_TOL
 
 
 def run_cli(args, capsys):
@@ -128,11 +131,57 @@ def test_nonfinite_number_flag_exit_2(command, flag, value, capsys):
 
 @pytest.mark.parametrize("command", ["arcs", "sweep"])
 def test_tol_below_double_rounding_exit_2(command, capsys):
-    # positive, so the parser takes it, but below the 2^-53 that every band
-    # rule already meets: refining further would only chase rounding
-    assert main([*BASE_ARGS[command], "--tol", "1e-300"]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error: tol must be at least 2^-53")
+    # positive, but below the 2^-53 that every band rule already meets, so
+    # refining further would only chase rounding: the parser refuses it with
+    # the message that names the flag, as it refuses 0 and nan
+    for value in ("1e-17", "1e-300", repr(math.nextafter(_BAND_TOL, 0.0))):
+        with pytest.raises(SystemExit) as exc:
+            main([*BASE_ARGS[command], "--tol", value])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "argument --tol: expected a number of at least 2^-53" in err
+    # the floor itself is a valid --tol
+    args = build_parser().parse_args([*BASE_ARGS[command], "--tol", repr(_BAND_TOL)])
+    assert args.tol == _BAND_TOL == 2.0 ** -53
+
+
+def _count_via_json_dumps(argv) -> str:
+    """count's JSON as json.dumps(indent=2, sort_keys=True) writes it."""
+    cfg = config_from_args(build_parser().parse_args(argv))
+    doc = counting.fast_count(cli._instance_from(cfg), mem_entries=cfg.mem_entries).to_dict()
+    doc["config"] = dataclasses.asdict(cfg)
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--N", "5000", "--c", "3/2", "--mu", "1/3,1/3,1/3", "--H", "600"],
+    ["count", "--N", "12", "--c", "3/2", "--mu", "1/4,1/4,1/2", "--H", "3"],
+    ["count", "--N", "100", "--c", "3/2", "--mu", "1/3,1/3,1/3", "--H", "0"],  # no rows
+])
+def test_count_json_bytes_match_json_dumps(argv, capsys):
+    # count writes its per_n rows with a writer of its own; the bytes must be
+    # the ones json.dumps(indent=2, sort_keys=True) gives
+    status, out = run_cli(argv, capsys)
+    assert status == 0
+    assert out == _count_via_json_dumps(argv)
+    if argv[-1] == "0":
+        assert json.loads(out)["per_n"] == []
+    else:
+        assert json.loads(out)["per_n"]
+
+
+def test_count_json_bytes_with_quoted_out_path(tmp_path, capsys):
+    # an --out path with quotes (and the text of the spliced key) is escaped
+    # in the config block, so the splice still finds the top-level key only
+    out = tmp_path / 'a "per_n": [] b.json'
+    argv = ["count", "--N", "3000", "--c", "5/3", "--mu", "1/3,1/3,1/3", "--H", "400",
+            "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == ""
+    text = out.read_text()
+    assert text == _count_via_json_dumps(argv)
+    assert json.loads(text)["config"]["out"] == str(out)
 
 
 @pytest.mark.parametrize("n_list,exponent", [("10000", "1e300"), ("0", "-0.5")])

@@ -11,6 +11,7 @@ from estermann.sieve import (
     prime_power_triples,
     primes_in,
     psi,
+    segmented_primes,
 )
 
 PSI_10 = 3 * math.log(2) + 2 * math.log(3) + math.log(5) + math.log(7)
@@ -31,8 +32,10 @@ def test_primes_in_examples():
 
 
 def test_primes_in_vs_trial_division():
-    assert list(primes_in(1, 10 ** 4)) == trial_division_primes(1, 10 ** 4)
-    assert list(primes_in(9000, 9999)) == trial_division_primes(9000, 9999)
+    # primes_in reads these from the table; segmented_primes sieves them
+    for fn in (primes_in, segmented_primes):
+        assert list(fn(1, 10 ** 4)) == trial_division_primes(1, 10 ** 4)
+        assert list(fn(9000, 9999)) == trial_division_primes(9000, 9999)
 
 
 def test_segment_split_union():
@@ -41,15 +44,53 @@ def test_segment_split_union():
         a = rng.randint(1, 10 ** 6)
         c = a + rng.randint(10, 10 ** 5)
         b = rng.randint(a, c - 1)
-        joined = np.concatenate([primes_in(a, b), primes_in(b + 1, c)])
-        assert np.array_equal(joined, primes_in(a, c))
+        for fn in (primes_in, segmented_primes):
+            joined = np.concatenate([fn(a, b), fn(b + 1, c)])
+            assert np.array_equal(joined, fn(a, c))
 
 
 def test_forced_segmentation_consistent(monkeypatch):
-    a, b = 10 ** 6, 10 ** 6 + 40000
+    # the window straddles _TABLE_LIMIT, so primes_in sieves it in segments
+    a, b = sieve._TABLE_LIMIT - 20000, sieve._TABLE_LIMIT + 20000
     whole = primes_in(a, b)
     monkeypatch.setattr(sieve, "_SEGMENT_ENTRIES", 2048)
     assert np.array_equal(primes_in(a, b), whole)
+
+
+def test_table_matches_segmented_sieve():
+    # windows ending at or below _TABLE_LIMIT are read-only slices of the
+    # base-prime table, the rest are sieved; both paths give the same arrays
+    limit = sieve._TABLE_LIMIT
+    rng = random.Random(32)
+    windows = [(1, 1), (1, 2), (2, 2), (1, 3), (2, 1000), (limit, limit),
+               (limit - 3000, limit), (limit - 3000, limit + 1), (limit + 1, limit + 1),
+               (limit - 1, limit + 3000), (1, limit)]
+    for _ in range(30):
+        a = rng.randint(1, limit + 50000)
+        windows.append((a, a + rng.randint(0, 60000)))
+    windows += [(rng.randint(1, 2), rng.randint(2, 20000)) for _ in range(5)]
+    for a, b in windows:
+        got, want = primes_in(a, b), segmented_primes(a, b)
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want), (a, b)
+        assert got.flags.writeable == (b > limit), (a, b)
+        if a <= limit < b:
+            # the table's part and the sieve's part join to the whole
+            joined = np.concatenate([primes_in(a, limit), primes_in(limit + 1, b)])
+            assert np.array_equal(joined, got)
+
+
+def test_table_windows_are_read_only():
+    # every table window is a view of one shared array: a write must raise
+    # rather than change the primes that later windows read
+    window = primes_in(1000, 2000)
+    with pytest.raises(ValueError):
+        window[0] = 4
+    with pytest.raises(ValueError):
+        window += 1
+    with pytest.raises(ValueError):
+        sieve.base_primes(100)[0] = 4
+    assert list(primes_in(1000, 1013)) == [1009, 1013]
 
 
 def test_pi_interval():
