@@ -364,9 +364,10 @@ def integrate_arcs(
     frequency its proven bound allows (24 at order 64, 134 at order 256),
     the row that needs the fewest evaluations there, so a short major arc
     keeps a low order and a long minor arc takes a high one.
-    adaptive_complex takes the panels by its band rule, with the band that
-    each integrand class states and proves.
-    Each arc's rule-error bound must fit tol * max(sup, 1) * (its width).
+    adaptive_complex takes those panels as final, by its band rule with the
+    band that each integrand class states and proves: a fixed rule, refused
+    up front unless each arc's rule-error bound fits
+    tol * max(sup, 1) * (its width).
     In model mode the minor arc is the closed form ModelIntegrand.integral,
     so achieved_error and n_evals count the major arc only.  achieved_error
     counts the bound on [0, 1/2] twice, once for its mirror image; n_evals
@@ -385,8 +386,9 @@ def integrate_arcs(
     instance.derive_params.
     Raises ValueError unless mu_k N > 1 for k = 1, 2, and unless
     tol >= 2^-53: every _BAND_RULES row keeps its rule bound below that
-    fraction of sup * width, so a larger tol never splits a panel, and a
-    smaller one would refine below the rounding of the integrand's values.
+    fraction of sup * width, so any larger tol gives the same panels, values
+    and bounds, and a smaller one would ask for less than the rounding of
+    the integrand's values.
     """
     if not tol >= _BAND_TOL:
         raise ValueError(

@@ -238,13 +238,14 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     for n_text in cfg.N_list.split(","):
         N = int(n_text)
         try:
-            H = math.ceil(N ** cfg.H_exponent)
+            # a negative N, refused below, to a fractional power is complex
+            H = math.ceil(N ** cfg.H_exponent) if N >= 0 else 0
         except ArithmeticError:  # overflow, or 0 to a negative power
             raise ValueError(f"H = N^{cfg.H_exponent} (--H-exponent) fails at N={N}") from None
-        mu = tuple(parse_rational(p) for p in cfg.mu.split(","))
-        inst = build_instance(N, cfg.c, mu, H)
+        if N < 1:
+            raise ValueError(f"--N-list holds N={N}; N must be a positive integer")
         report = integrate_arcs(
-            inst,
+            _instance_from(replace(cfg, N=N, H=H)),
             mode="model",
             tol=cfg.tol,
             mem_entries=cfg.mem_entries,

@@ -1,30 +1,30 @@
-"""Adaptive Gauss-Legendre panel integration for complex-valued integrands.
+"""Gauss-Legendre panel integration for complex-valued integrands.
 
 One rule sizes the panels of every oscillating integral in the package:
 panel_edges gives equal panels of at most a stated number of periods of a
 stated top frequency, and adaptive_complex integrates each with a
 Gauss-Legendre rule of the caller's order (_PANEL_ORDER unless it states
-one).  Panels refine by bisection.  A panel is accepted when its error fits
-its proportional share of the absolute error budget.  The value and the
-error come from one of two paths:
+one).  The value and the error come from one of two paths:
 
 - the band rule, for an integrand the caller declares band-limited
-  (|f(z)| <= sup * e^(2 pi F |Im z|) on the complex plane): a panel's value
-  is its one rule, and its error gauss_error_bound, a proven bound that
-  depends only on the panel width, so every split is decided before
-  anything is evaluated and only the rules of accepted panels are computed.
-  band_layout picks its order and panels per interval from the rows of
-  _BAND_RULES: the row with the fewest evaluations there;
-- the whole-vs-halves estimate otherwise: a panel's value is the sum of the
-  rules on its two halves, the rule on the whole panel is computed as well,
-  and the discrepancy stands for the error.  Its panels span
-  _PERIODS_PER_PANEL periods.
+  (|f(z)| <= sup * e^(2 pi F |Im z|) on the complex plane): a fixed rule,
+  refused up front.  The caller's panels are final; a panel's value is its
+  one rule, and its error gauss_error_bound, a proven bound that depends
+  only on the panel width, so a layout whose bound or evaluation count does
+  not fit is refused before anything is evaluated.  band_layout picks the
+  order and panels per interval from the rows of _BAND_RULES: the row with
+  the fewest evaluations there;
+- the whole-vs-halves estimate otherwise: panels refine by bisection, and a
+  panel is accepted when its error fits its proportional share of the
+  absolute error budget.  A panel's value is the sum of the rules on its two
+  halves, the rule on the whole panel is computed as well, and the
+  discrepancy stands for the error.  Its panels span _PERIODS_PER_PANEL
+  periods.
 
 The rules evaluated together (on the estimate path those of one refinement
-level, on the band path those of every accepted panel, after the last level)
-have their Gauss nodes in one flat 1-D array, the integrand is called once
-on it (on consecutive slices of it past _LEVEL_NODES nodes), and the rule
-sums and accept/split decisions are array operations.  The accepted
+level, on the band path all of them) have their Gauss nodes in one flat 1-D
+array, the integrand is called once on it (on consecutive slices of it past
+_LEVEL_NODES nodes), and the rule sums are array operations.  The
 contributions are summed in interval order.
 """
 
@@ -49,8 +49,8 @@ _PANEL_ORDER = 32
 # largest whole number of periods at which its rule's proven error
 # (gauss_error_bound) stays below _BAND_TOL = 2^-53, double rounding, of the
 # sup times the width (at order 64, 9.0e-18 at 24 periods against 5.9e-16 at
-# 25).  So the band rule splits no panel for any tolerance down to that, and a
-# lower tolerance would refine below the rounding of the values it bounds.
+# 25).  So a band_layout layout meets any tolerance down to that, and a lower
+# one would ask for less than the rounding of the values it bounds.
 # Per period the rows cost 2.67, 2.34, 2.17, 2.00 and 1.91 evaluations (the
 # order-32 rule would need 4.0, on 8-period panels); band_layout picks a row
 # per interval, since a short interval rounds up to whole panels, where a
@@ -58,10 +58,10 @@ _PANEL_ORDER = 32
 _BAND_RULES = ((64, 24), (96, 41), (128, 59), (192, 96), (256, 134))
 _BAND_TOL = 2.0 ** -53
 
-# Larger levels are evaluated in consecutive slices of whole panels, so the
+# Larger batches are evaluated in consecutive slices of whole panels, so the
 # node and value arrays stay bounded whatever the panel count.
 _LEVEL_NODES = 1 << 17
-# adaptive_complex's bisection depth and evaluation limits (see its docstring)
+# the estimate path's bisection depth, and both paths' evaluation limit
 _MAX_DEPTH = 16
 _EVAL_BUDGET = 50_000_000
 
@@ -161,6 +161,19 @@ def _rule_sums(
     return sums
 
 
+def _check_budget(n_evals: int) -> None:
+    if n_evals > _EVAL_BUDGET:
+        raise ToleranceNotMet(f"evaluation budget {_EVAL_BUDGET} exhausted", achieved=math.inf)
+
+
+def _check_error(achieved: float, abs_tol: float) -> None:
+    if achieved > abs_tol:
+        raise ToleranceNotMet(
+            f"achieved error {achieved:.3g} exceeds tolerance {abs_tol:.3g}",
+            achieved=achieved,
+        )
+
+
 def adaptive_complex(
     f_batch: Callable[[np.ndarray], np.ndarray],
     edges: Sequence[float],
@@ -176,24 +189,24 @@ def adaptive_complex(
     Returns (value, error, evaluation_count).
 
     With band=(top_frequency, sup) the caller promises |f(z)| <= sup *
-    e^(2 pi top_frequency |Im z|) on the complex plane (top_frequency > 0).
-    Each panel's value is then its one rule, and the error is the sum of
-    gauss_error_bound over the accepted panels: a proven bound on the rule
-    error, not counting the rounding of the integrand's values.  Each panel
-    of a refinement level is bounded as the level's widest, which on
-    panel_edges layouts is every panel to within rounding.  The bounds need
-    no evaluation, so every level is decided first: a panel whose bound does
-    not fit its share is bisected, and then the accepted panels' rules are
-    evaluated in one _rule_sums call, in interval order, at order
-    evaluations each.  Without band a panel's value is the sum of the rules
-    on its two halves, the error is the sum of the whole-vs-halves
-    estimates, and each refinement level costs 3 * order evaluations per
-    pending panel.
+    e^(2 pi top_frequency |Im z|) on the complex plane (top_frequency > 0),
+    and its panels are final: a fixed rule, refused up front.  Each panel's
+    value is its one rule, and the error is the sum over the panels of
+    gauss_error_bound at the widest panel (on panel_edges layouts every panel
+    to within rounding): a proven bound on the rule error, not counting the
+    rounding of the integrand's values.  The bound needs no evaluation, so
+    when it exceeds abs_tol, or order * panels exceeds _EVAL_BUDGET,
+    ToleranceNotMet is raised before the integrand is called; otherwise the
+    rules are evaluated in one _rule_sums call, in interval order, at order
+    evaluations each.
 
-    A panel at _MAX_DEPTH is accepted whatever its error.  Raises
-    ToleranceNotMet when the error exceeds abs_tol, or when the panels still
-    pending need more evaluations than _EVAL_BUDGET has left; on the band
-    path either is raised before the integrand is called.
+    Without band the panels refine by bisection: a panel's value is the sum
+    of the rules on its two halves, its error the whole-vs-halves estimate,
+    and it is accepted when that fits its proportional share of abs_tol, or
+    at _MAX_DEPTH whatever its error.  Each refinement level costs
+    3 * order evaluations per pending panel, and ToleranceNotMet is raised
+    when the pending panels need more than _EVAL_BUDGET has left, or when
+    the summed error exceeds abs_tol.
     """
     edges = np.asarray(edges, dtype=np.float64)
     total_width = edges[-1] - edges[0]
@@ -202,35 +215,28 @@ def adaptive_complex(
     x, w = leggauss(order)
     keep = edges[1:] > edges[:-1]
     a, b = edges[:-1][keep], edges[1:][keep]
-    rules = 3 if band is None else 1
-    # (starts, values) of the accepted panels, or (starts, ends) with band
-    accepted: list[tuple[np.ndarray, np.ndarray]] = []
     achieved = 0.0
+    if band is not None:
+        bound = gauss_error_bound(float((b - a).max()), *band, order)
+        for _ in range(a.size):  # each panel's bound, added in interval order
+            achieved += bound
+        _check_budget(order * a.size)
+        _check_error(achieved, abs_tol)
+        sums = _rule_sums(f_batch, (a,), (b,), x, w)[:, 0]
+        return complex(sum(sums.tolist())), achieved, order * a.size
+
+    accepted: list[tuple[np.ndarray, np.ndarray]] = []  # (starts, values)
     n_evals = 0
     depth = 0
     while a.size:
-        if n_evals + rules * order * a.size > _EVAL_BUDGET:
-            raise ToleranceNotMet(
-                f"evaluation budget {_EVAL_BUDGET} exhausted", achieved=float("inf")
-            )
+        _check_budget(n_evals + 3 * order * a.size)
         mid = 0.5 * (a + b)
-        if band is None:
-            n_evals += 3 * order * a.size
-            sums = _rule_sums(f_batch, (a, a, mid), (b, mid, b), x, w)
-            halves = sums[:, 1] + sums[:, 2]
-            err = np.abs(sums[:, 0] - halves)
-        else:
-            err = np.full(a.size, gauss_error_bound(float((b - a).max()), *band, order))
-        if depth >= _MAX_DEPTH:
-            ok = np.ones(a.size, dtype=bool)
-        else:
-            ok = err <= abs_tol * (b - a) / total_width
-        if band is None:
-            accepted.append((a[ok], halves[ok]))
-        else:
-            # an accepted panel's rule is evaluated after the last level
-            n_evals += order * int(np.count_nonzero(ok))
-            accepted.append((a[ok], b[ok]))
+        n_evals += 3 * order * a.size
+        sums = _rule_sums(f_batch, (a, a, mid), (b, mid, b), x, w)
+        halves = sums[:, 1] + sums[:, 2]
+        err = np.abs(sums[:, 0] - halves)
+        ok = (err <= abs_tol * (b - a) / total_width) | (depth >= _MAX_DEPTH)
+        accepted.append((a[ok], halves[ok]))
         for e in err[ok].tolist():
             achieved += e
         split = ~ok
@@ -239,20 +245,11 @@ def adaptive_complex(
         b = np.stack([mid_s, b_s], axis=1).ravel()
         depth += 1
 
-    if achieved > abs_tol:
-        raise ToleranceNotMet(
-            f"achieved error {achieved:.3g} exceeds tolerance {abs_tol:.3g}",
-            achieved=achieved,
-        )
+    _check_error(achieved, abs_tol)
     starts = np.concatenate([start for start, _ in accepted])
-    second = np.concatenate([column for _, column in accepted])
-    in_order = np.argsort(starts, kind="stable")
-    if band is None:
-        contributions = second[in_order]
-    else:
-        contributions = _rule_sums(f_batch, (starts[in_order],), (second[in_order],), x, w)[:, 0]
-    value = complex(sum(contributions.tolist()))
-    return value, achieved, n_evals
+    values = np.concatenate([value for _, value in accepted])
+    contributions = values[np.argsort(starts, kind="stable")]
+    return complex(sum(contributions.tolist())), achieved, n_evals
 
 
 def _panel_count(a: float, b: float, top_frequency: float, periods: float) -> int:

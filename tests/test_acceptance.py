@@ -25,7 +25,7 @@ from estermann.circle import (
     sin3_integral,
     singular_integral_J,
 )
-from estermann.counting import brute_force_count, fast_count
+from estermann.counting import brute_force_count, build_windows, fast_count
 from estermann.expsums import approx_S1, approx_S_c, char_sum, eval_S1
 from estermann.instance import build_instance, derive_params
 from estermann.sieve import lambda_segment, pi_interval, psi
@@ -114,6 +114,46 @@ def test_criterion_2_arc_additivity():
         f"{elapsed:.0f}s (< 600s)",
     )
     assert ok
+
+
+def coefficient_major_arc(w, k: float) -> float:
+    """I_major from the integrand's coefficients, with k = min(kappa, 1/2).
+
+    F(alpha)e(-alpha N) = sum_d R(d) e(alpha d) with R(d) the number of
+    triples p1 + p2 + v - N = d in the windows w, so the major arc is
+    sum_d R(d) K(d), K(d) = sin(2 pi k d)/(pi d) and K(0) = 2k.  R is exact:
+    brute-force pair sums of the two prime windows, convolved in integers
+    with V.  No quadrature and no tangent kernel are involved.  Each term is
+    off by at most 5 * 2^-53 * R(d): the phase 2 pi k d by three roundings
+    of at most 2^-53 of it each, then the sine, the product and the
+    division, with k <= 1/2 and |K(d)| <= 1/pi for d != 0.  math.fsum adds
+    the terms with one rounding, of at most 2^-53 of the total, which is
+    below sup = sum R(d); so the result is within 8 * 2^-53 * sup.
+    """
+    if w.empty:
+        return 0.0
+    pairs = np.add.outer(w.p1, w.p2).ravel()
+    low = int(pairs.min()) + int(w.values.min()) - w.inst.N
+    R = np.convolve(np.bincount(pairs - pairs.min()), np.bincount(w.values - w.values.min()))
+    terms = [2 * k * r if d == 0 else r * math.sin(2 * math.pi * k * d) / (math.pi * d)
+             for d, r in enumerate(R.tolist(), start=low) if r]
+    return math.fsum(terms)
+
+
+def test_major_arc_matches_the_coefficient_referee():
+    # the quadrature's I_major within its proven rule bound plus rounding:
+    # the referee's, and the integrand's over width 2k, each value within
+    # (6 pi 2^-54 (H + 2) + 1e-14) sup of exact (ExactIntegrand's a-priori
+    # bound) and the rule sum within n_evals 2^-53 sup
+    for N, c, mu, H in _ARC_CASES:
+        inst = build_instance(N, c, mu, H)
+        rep = integrate_arcs(inst, mode="exact", tol=1e-6)
+        w, k = build_windows(inst), min(rep.kappa, 0.5)
+        sup = len(w.p1) * len(w.p2) * len(w.values)
+        per_value = 6 * math.pi * 2.0 ** -54 * (H + 2) + 1e-14 + rep.n_evals * 2.0 ** -53
+        allowance = (8 * 2.0 ** -53 + 2 * k * per_value) * sup
+        err = abs(rep.I_major.real - coefficient_major_arc(w, k))
+        assert err <= rep.achieved_error + allowance, f"N={N} H={H}: off by {err:.3g}"
 
 
 def test_criterion_3_singular_integral():

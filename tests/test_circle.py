@@ -631,13 +631,28 @@ def test_integrate_arcs_takes_derived_params_without_deriving(mode, monkeypatch)
 
 
 @pytest.mark.parametrize("mode", ["exact", "model"])
+@pytest.mark.parametrize("N, c, mu, H", [
+    (3000, "3/2", THIRD, 300),
+    (5284, "3/2", ("2/5", "1/5", "2/5"), 404),
+    (10 ** 4, "5/2", THIRD, 1500),
+    (2000, "3/2", THIRD, 35),  # kappa >= 1/2: one interval
+])
+def test_integrate_arcs_is_the_same_at_every_accepted_tol(N, c, mu, H, mode):
+    # every band rule keeps its bound below 2^-53 of sup * width, so the band
+    # path takes band_layout's panels as final at any accepted tol: the same
+    # values, bound and evaluations from the floor 2^-53 up to 0.5
+    inst = build_instance(N, c, mu, H)
+    reports = [dataclasses.replace(integrate_arcs(inst, mode=mode, tol=tol), tol=None)
+               for tol in (2.0 ** -53, 1e-6, 0.5)]
+    assert reports[0] == reports[1] == reports[2]
+    assert reports[0].n_evals > 0 and reports[0].achieved_error > 0.0
+
+
+@pytest.mark.parametrize("mode", ["exact", "model"])
 def test_integrate_arcs_refuses_tol_below_double_rounding(mode, monkeypatch):
-    # every band rule keeps its bound below 2^-53 of sup * width, so tol = 2^-53
-    # splits no panel and costs what the default does; a smaller tol is refused
-    # before any window is built or any rule evaluated
+    # a tol below 2^-53 is refused before any window is built or any rule
+    # evaluated
     inst = build_instance(3000, "3/2", THIRD, 300)
-    floor = integrate_arcs(inst, mode=mode, tol=2.0 ** -53)
-    assert dataclasses.replace(floor, tol=1e-6) == integrate_arcs(inst, mode=mode, tol=1e-6)
 
     def no_work(*args, **kwargs):
         raise AssertionError("work done for a refused tol")

@@ -193,6 +193,16 @@ def test_h_exponent_out_of_range_exit_2(n_list, exponent, capsys):
     assert "--H-exponent" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n_list", ["-100", "1000,-7", "0"])
+def test_non_positive_n_list_exit_2(n_list, capsys):
+    # a negative N to the power 0.8 is complex: an error naming the list,
+    # as for N = 0
+    status = main(["sweep", f"--N-list={n_list}", "--c", "3/2", "--mu", "1/3,1/3,1/3"])
+    assert status == 2
+    err = capsys.readouterr().err
+    assert "--N-list" in err and "Traceback" not in err
+
+
 def test_negative_alpha_grid_start(capsys):
     status, out = run_cli(
         ["expsum", "--N", "100", "--c", "3/2", "--mu", "1/3,1/3,1/3", "--H", "5",

@@ -76,13 +76,11 @@ def band_bound_reference(width, top_frequency, sup, order):
             * rho ** (2 - 2 * order) / (rho * rho - 1))
 
 
-def per_panel_reference(f, edges, abs_tol, order, max_depth=16, band=None):
-    """The panel-at-a-time algorithm: one integrand call per Gauss rule.
+def per_panel_reference(f, edges, abs_tol, order, max_depth=16):
+    """The panel-at-a-time estimate path: one integrand call per Gauss rule.
 
-    Without band a panel's value is the sum of its two half rules and its
-    error the whole-vs-halves discrepancy; with band=(top_frequency, sup) its
-    value is its one rule and its error band_bound_reference on the whole
-    panel, known before the panel is evaluated, and only accepted panels are.
+    A panel's value is the sum of its two half rules and its error the
+    whole-vs-halves discrepancy.
     """
     x, w = leggauss(order)
 
@@ -97,16 +95,10 @@ def per_panel_reference(f, edges, abs_tol, order, max_depth=16, band=None):
         pending = []
         for a, b, depth in panels:
             mid = 0.5 * (a + b)
-            if band is None:
-                n_evals += 3 * order
-                value = rule(a, mid) + rule(mid, b)
-                err = abs(rule(a, b) - value)
-            else:
-                err = band_bound_reference(b - a, *band, order)
+            n_evals += 3 * order
+            value = rule(a, mid) + rule(mid, b)
+            err = abs(rule(a, b) - value)
             if err <= abs_tol * (b - a) / total_width or depth >= max_depth:
-                if band is not None:
-                    n_evals += order
-                    value = rule(a, b)
                 accepted.append((a, value))
                 achieved += err
             else:
@@ -315,7 +307,8 @@ def test_gauss_error_bound_edges():
     # per unit of sup * width at order 32: 2.5e-31 at 5 periods, 2.4e-13 at 10
     assert 2.4e-31 < gauss_error_bound(5.0, 1.0, 1.0, _PANEL_ORDER) / 5.0 < 2.6e-31
     assert 2.3e-13 < gauss_error_bound(10.0, 1.0, 1.0, _PANEL_ORDER) / 10.0 < 2.5e-13
-    # no rho beats the trivial bound past 2n/pi periods: inf, so the panel splits
+    # no rho beats the trivial bound past 2n/pi periods: inf, so the band
+    # rule refuses the panel
     assert gauss_error_bound(21.0, 1.0, 1.0, _PANEL_ORDER) == math.inf
     # a bound that underflows stays positive, so a zero tolerance never fits,
     # and nothing overflows however narrow the panel
@@ -323,7 +316,7 @@ def test_gauss_error_bound_edges():
     assert 0.0 < gauss_error_bound(1e-300, 1.0, 1.0, _PANEL_ORDER) < 1e-300
     # f = 0 is integrated exactly
     assert gauss_error_bound(1.0, 1.0, 0.0, _PANEL_ORDER) == 0.0
-    # the bound grows with the width, so the widest half of a level bounds all
+    # the bound grows with the width, so the widest panel bounds all
     widths = np.linspace(0.01, 20.0, 2001).tolist()
     bounds = [gauss_error_bound(v, 1.0, 1.0, _PANEL_ORDER) for v in widths]
     assert all(x < y for x, y in zip(bounds, bounds[1:]) if y < math.inf)
@@ -353,7 +346,7 @@ def test_band_path_matches_estimate_path_on_panel_edges(a, b):
     # each path on the layout it is used with: the band rule's one rule per
     # panel of band_layout's row (order 64 on the short interval, 128 on the
     # others), the estimate's two order-_PANEL_ORDER half rules per
-    # _PERIODS_PER_PANEL-period panel; neither splits a panel, and both meet
+    # _PERIODS_PER_PANEL-period panel, none of which it splits; both meet
     # the closed form within their own error, plus rounding
     f, F, sup, coeffs = band_cases()
     (order, band_edges), edges = band_layout(a, b, F), panel_edges(a, b, F)
@@ -372,28 +365,11 @@ def test_band_path_matches_estimate_path_on_panel_edges(a, b):
         rel=1e-9)
 
 
-def test_band_path_matches_per_panel_reference_with_splits():
-    # at order 64, one panel of 96 periods and its 48-period halves have no
-    # finite bound (past 2n/pi = 40.7 periods), so it splits twice; at tol
-    # 1e-10 the four 24-period panels fit (bound 9.0e-18 of sup * width),
-    # and at tol 1e-18 they split once more into eight 12-period panels
-    f, F, sup, _ = band_cases()
-    width = 96.0 / F
-    for tol, panels in ((1e-10, 4), (1e-18, 8)):
-        abs_tol = tol * sup * width
-        got = adaptive_complex(f, [0.1, 0.1 + width], abs_tol, order=64, band=(F, sup))
-        want = per_panel_reference(f, [0.1, 0.1 + width], abs_tol, 64, band=(F, sup))
-        assert got[2] == want[2] == 64 * panels
-        assert got[0] == want[0]
-        assert got[1] == pytest.approx(want[1], rel=1e-9)
-
-
-def test_band_path_decides_every_split_before_one_evaluation():
-    # two panels of 24 and 12 periods, each bounded as the wider at the first
-    # level, B: at abs_tol = 1.5 B W / w1 the wide panel's share is 1.5 B, so
-    # it is accepted, and the narrow one's 0.75 B, so it splits once into
-    # 6-period panels, whose bound fits; the three accepted rules then take
-    # one integrand call
+def test_band_path_refuses_a_layout_that_does_not_fit_before_any_evaluation():
+    # the caller's panels are final: one 96-period panel at order 64 has no
+    # finite bound (past 2n/pi = 40.7 periods), and no bound fits abs_tol = 0,
+    # so either is refused before the integrand is called; a layout that fits
+    # is evaluated in one call, one rule per panel, in interval order
     f, F, sup, coeffs = band_cases()
     calls = []
 
@@ -401,17 +377,29 @@ def test_band_path_decides_every_split_before_one_evaluation():
         calls.append(alpha.size)
         return f(alpha)
 
-    a = 0.0123
-    edges = [a, a + 24.0 / F, a + 36.0 / F]
-    total, wide = edges[2] - edges[0], edges[1] - edges[0]
-    bound = gauss_error_bound(wide, F, sup, 64)
-    value, err, n_evals = adaptive_complex(
-        counted, edges, 1.5 * bound * total / wide, order=64, band=(F, sup))
-    assert calls == [3 * 64]
-    assert n_evals == 3 * 64
-    assert bound <= err <= 1.5 * bound
-    exact = trig_closed_form(coeffs, edges[0], edges[2])
-    assert abs(value - exact) <= err + 1e-14 * sup * total
+    width = 96.0 / F
+    with pytest.raises(ToleranceNotMet, match="achieved error inf"):
+        adaptive_complex(counted, [0.1, 0.1 + width], 1e-10 * sup * width, order=64,
+                         band=(F, sup))
+    order, edges = band_layout(0.0123, 0.5, F)
+    with pytest.raises(ToleranceNotMet, match="exceeds tolerance 0"):
+        adaptive_complex(counted, edges, 0.0, order=order, band=(F, sup))
+    assert calls == []
+    value, err, n_evals = adaptive_complex(counted, edges, 1e-10 * sup, order=order,
+                                           band=(F, sup))
+    panels = len(edges) - 1
+    assert calls == [order * panels] and n_evals == order * panels
+    x, w = leggauss(order)
+    rules = [complex(np.sum(0.5 * (hi - lo) * w * f(lo + 0.5 * (hi - lo) * (x + 1.0))))
+             for lo, hi in zip(edges[:-1], edges[1:])]
+    assert value == complex(sum(rules))
+    # each panel is bounded as the widest, and the bounds are summed in order
+    bound = gauss_error_bound(float(np.diff(edges).max()), F, sup, order)
+    summed = 0.0
+    for _ in range(panels):
+        summed += bound
+    assert err == summed
+    assert abs(value - trig_closed_form(coeffs, 0.0123, 0.5)) <= err + 1e-14 * sup
 
 
 def test_band_periods_is_the_largest_whole_number_below_double_rounding():
@@ -456,17 +444,16 @@ def test_band_path_absurd_tolerance_raises(monkeypatch):
         calls.append(alpha.size)
         return f(alpha)
 
-    edges = panel_edges(0.0, 0.5, F)
-    # no panel fits a zero tolerance: they split, unevaluated, until the
-    # pending panels need more than the budget
-    with monkeypatch.context() as patch, pytest.raises(ToleranceNotMet):
-        patch.setattr(quadrature, "_EVAL_BUDGET", 10**6)
-        adaptive_complex(counted, edges, 0.0, band=(F, sup))
-    assert calls == []
-    # at _MAX_DEPTH the panels are accepted, and their bound exceeds 1e-300
-    monkeypatch.setattr(quadrature, "_MAX_DEPTH", 2)
+    order, edges = band_layout(0.0, 0.5, F)
+    # a layout whose rules need more than the budget, and one whose bound
+    # exceeds 1e-300: both refused before any evaluation
+    with monkeypatch.context() as patch, pytest.raises(ToleranceNotMet) as info:
+        patch.setattr(quadrature, "_EVAL_BUDGET", order * (len(edges) - 1) - 1)
+        adaptive_complex(counted, edges, 1.0, order=order, band=(F, sup))
+    assert info.value.achieved == math.inf
     with pytest.raises(ToleranceNotMet):
-        adaptive_complex(counted, edges, 1e-300, band=(F, sup))
+        adaptive_complex(counted, edges, 1e-300, order=order, band=(F, sup))
+    assert calls == []
 
 
 # N from 5e3 to 1e9: alpha*v reaches 5e8 turns at the largest, while the
